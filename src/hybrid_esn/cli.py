@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as hio
 from .config import ConfigError, load_config
-from .dynamics import realize_regime, simulate, BiHarmonicParams, perturb_params
+from .dynamics import NumericalBlowup, realize_regime, simulate, BiHarmonicParams, perturb_params
 from .evaluation import ForecastResult, mean_nmse, segment, valid_time
 from .experiments import (
     SeedScheme,
@@ -28,7 +28,15 @@ from .experiments import (
     run_sweep,
 )
 from .hybrid import ExpertModel
-from .reservoir import build_matrices, collect_states, forecast as rc_forecast, train_readout
+from .reservoir import (
+    CollectionError,
+    ForecastAbort,
+    ReadoutTrainingError,
+    build_matrices,
+    collect_states,
+    forecast as rc_forecast,
+    train_readout,
+)
 from .report import render_sweep_svg, write_summary_csv
 
 
@@ -70,6 +78,8 @@ def generate(config_path, regime, seed, out_path):
     try:
         trajectory = simulate(params, theta0, cfg.integrator, cfg.layout.total_steps)
         hio.write_trajectory_csv(out_path, trajectory, cfg.layout.dt)
+    except NumericalBlowup as exc:
+        _fail(str(exc), 3)
     except OSError as exc:
         _fail(f"cannot write {out_path}: {exc}")
     base = params.base if isinstance(params, BiHarmonicParams) else params
@@ -92,7 +102,20 @@ def generate(config_path, regime, seed, out_path):
 
 
 def _train_one(cfg, regime, model_kind, instantiation=0):
-    """Ground truth, matrices, readout, and spans for one instantiation."""
+    """Ground truth, matrices, readout, and spans for one instantiation.
+
+    Exits 2 on a bad regime, model or regularization and 3 when the ground
+    truth or the training run fails.
+    """
+    try:
+        return _train(cfg, regime, model_kind, instantiation)
+    except (ValueError, ReadoutTrainingError) as exc:
+        _fail(str(exc))
+    except (NumericalBlowup, CollectionError, FloatingPointError) as exc:
+        _fail(str(exc), 3)
+
+
+def _train(cfg, regime, model_kind, instantiation):
     if model_kind not in ("standard", "hybrid"):
         _fail(f"unknown model {model_kind!r}; valid: standard, hybrid")
     spec = regime_spec(cfg.task, regime)
@@ -128,11 +151,9 @@ def _train_one(cfg, regime, model_kind, instantiation=0):
 def train(config_path, regime, model_kind, out_path):
     """Train one reservoir instantiation and save the (A, B, C) model dump."""
     cfg = _load(config_path)
+    _, matrices, readout, expert, _ = _train_one(cfg, regime, model_kind)
     try:
-        _, matrices, readout, expert, _ = _train_one(cfg, regime, model_kind)
         hio.save_model(out_path, matrices, readout, expert)
-    except ValueError as exc:
-        _fail(str(exc))
     except OSError as exc:
         _fail(f"cannot write {out_path}: {exc}")
     click.echo(f"wrote model dump {out_path}")
@@ -147,14 +168,14 @@ def train(config_path, regime, model_kind, out_path):
 def forecast_cmd(config_path, regime, model_kind, span, out_path):
     """Train one instantiation, forecast one test span, and report metrics."""
     cfg = _load(config_path)
-    try:
-        rcfg, matrices, readout, expert, spans = _train_one(cfg, regime, model_kind)
-    except ValueError as exc:
-        _fail(str(exc))
+    rcfg, matrices, readout, expert, spans = _train_one(cfg, regime, model_kind)
     if not (0 <= span < len(spans)):
         _fail(f"span must be in [0, {len(spans) - 1}]")
     warmup, test = spans[span]
-    preds = rc_forecast(warmup, test.shape[1], matrices, readout, rcfg, expert=expert)
+    try:
+        preds = rc_forecast(warmup, test.shape[1], matrices, readout, rcfg, expert=expert)
+    except (ForecastAbort, FloatingPointError, ValueError) as exc:
+        _fail(str(exc), 3)
     try:
         hio.write_trajectory_csv(out_path, preds, cfg.layout.dt)
     except OSError as exc:

@@ -145,11 +145,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     integ_doc = doc.get("integrator", {})
     _check_keys(integ_doc, ("dt", "substeps_per_sample"), "integrator")
-    integrator = IntegratorConfig(**integ_doc)
-
     layout_doc = doc.get("layout", {})
     _check_keys(layout_doc, SpanLayout.__dataclass_fields__, "layout")
-    layout = SpanLayout(**{"dt": integrator.dt, **layout_doc})
+    try:
+        integrator = IntegratorConfig(**integ_doc)
+        layout = SpanLayout(**{"dt": integrator.dt, **layout_doc})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     sweep = None
     if doc.get("sweep") is not None:

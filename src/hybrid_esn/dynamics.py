@@ -26,6 +26,7 @@ __all__ = [
     "phases_to_components",
     "components_to_phases",
     "normalize_components",
+    "normalize_rows",
     "kuramoto_rhs",
     "biharmonic_rhs",
     "component_rhs",
@@ -216,23 +217,44 @@ def components_to_phases(c) -> np.ndarray:
 
 
 def normalize_components(c) -> np.ndarray:
-    """Rescale each (x_i, y_i) pair to unit magnitude, preserving direction."""
+    """Rescale each (x_i, y_i) pair to unit magnitude, preserving direction.
+
+    Pairs run along the last axis, so a (..., 2N) batch of states is
+    normalized row by row.
+    """
     c = np.asarray(c, dtype=float)
     x, y = _split_components(c)
     r = np.hypot(x, y)
     if np.any(r <= 1e-12):
         raise ValueError("cannot normalize: component pair at the origin")
     out = np.empty_like(c)
-    out[0::2] = x / r
-    out[1::2] = y / r
+    out[..., 0::2] = x / r
+    out[..., 1::2] = y / r
     return out
 
 
+def normalize_rows(c):
+    """normalize_components for an (S, 2N) batch that flags bad rows instead of raising.
+
+    Returns (out, ok): ok[s] is False where row s holds a non-finite entry
+    or a pair at the origin, and such a row comes back unchanged.
+    """
+    c = np.asarray(c, dtype=float)
+    x, y = _split_components(c)
+    r = np.hypot(x, y)
+    ok = np.isfinite(c).all(axis=-1) & (r > 1e-12).all(axis=-1)
+    r[~ok] = 1.0
+    out = np.empty_like(c)
+    out[..., 0::2] = x / r
+    out[..., 1::2] = y / r
+    return out, ok
+
+
 def _split_components(c):
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 0 or c.size % 2 != 0:
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 0 or c.shape[-1] == 0 or c.shape[-1] % 2 != 0:
         raise ValueError("component vector length must be even and positive")
-    return c[0::2], c[1::2]
+    return c[..., 0::2], c[..., 1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +295,25 @@ def component_rhs(state, params) -> np.ndarray:
     The pairwise sin/cos terms are evaluated from the components themselves
     (sin(theta_j - theta_i) = y_j x_i - x_j y_i, etc.), so the field is a
     smooth polynomial extension off the unit-circle manifold.
+
+    `state` is (..., 2N) with any leading batch axes; every reduction runs
+    over the contiguous last axis, so each row is bitwise equal to the 1-d
+    call.  `params.omega` may be (N,) or carry the batch axes, (S, N), with
+    `params.coupling` then (S, 1): one parameter set per row.
     """
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    if state.size != 2 * params.n_oscillators:
+    state = np.asarray(state, dtype=float)
+    if state.ndim == 0 or state.shape[-1] != 2 * params.n_oscillators:
         raise ValueError(
-            f"component state length {state.size} != 2*{params.n_oscillators}"
+            f"component state shape {state.shape} does not end in 2*{params.n_oscillators}"
         )
-    x = state[0::2]
-    y = state[1::2]
+    x = state[..., 0::2]
+    y = state[..., 1::2]
+    xi, yi = x[..., None], y[..., None]
+    xj, yj = x[..., None, :], y[..., None, :]
     # s[i, j] = sin(theta_j - theta_i), c[i, j] = cos(theta_j - theta_i)
-    s = y[None, :] * x[:, None] - x[None, :] * y[:, None]
+    s = yj * xi - xj * yi
     if isinstance(params, BiHarmonicParams):
-        c = x[None, :] * x[:, None] + y[None, :] * y[:, None]
+        c = xj * xi + yj * yi
         pair = s * np.cos(params.gamma1) + c * np.sin(params.gamma1)
         pair += params.second_harmonic_scale * (
             2.0 * s * c * np.cos(params.gamma2) + (c * c - s * s) * np.sin(params.gamma2)
@@ -294,10 +323,10 @@ def component_rhs(state, params) -> np.ndarray:
         pair = s
         base = params
     n = params.n_oscillators
-    rate = base.omega + (base.coupling / n) * pair.sum(axis=1)
+    rate = base.omega + (base.coupling / n) * np.add.reduce(pair, axis=-1)
     out = np.empty_like(state)
-    out[0::2] = -y * rate
-    out[1::2] = x * rate
+    out[..., 0::2] = -y * rate
+    out[..., 1::2] = x * rate
     return out
 
 

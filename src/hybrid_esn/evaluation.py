@@ -14,6 +14,8 @@ __all__ = [
     "nmse_series",
     "mean_nmse",
     "valid_time",
+    "nmse_denominator",
+    "span_metrics",
     "failure_metrics",
     "space_time_separation",
 ]
@@ -40,6 +42,8 @@ class SpanLayout:
         for name in ("training", "train_test_gap", "warmup", "test", "test_test_gap", "n_tests"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.test < 2:
+            raise ValueError("test must be >= 2: the bare-ODE forecast covers test - 1 samples")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -102,15 +106,21 @@ def segment(record: np.ndarray, layout: SpanLayout):
     return training, spans
 
 
+def nmse_denominator(truth: np.ndarray) -> float:
+    """Root-mean-square norm of a ground-truth span (sqrt(N) for unit-circle states)."""
+    denom = np.sqrt(np.mean(np.sum(truth ** 2, axis=0)))
+    if denom == 0.0:
+        raise ValueError("NMSE undefined: ground truth is identically zero")
+    return denom
+
+
 def nmse_series(fr: ForecastResult) -> np.ndarray:
     """NMSE(t) = ||u(t) - u*(t)|| / rms_tau ||u(tau)||, per forecast step.
 
     The denominator is the root-mean-square norm of the test span's ground
     truth (sqrt(N) exactly for unit-circle states).
     """
-    denom = np.sqrt(np.mean(np.sum(fr.truth ** 2, axis=0)))
-    if denom == 0.0:
-        raise ValueError("NMSE undefined: ground truth is identically zero")
+    denom = nmse_denominator(fr.truth)
     return np.linalg.norm(fr.truth - fr.prediction, axis=0) / denom
 
 
@@ -133,6 +143,25 @@ def valid_time(fr: ForecastResult, epsilon: float = 0.4) -> float:
     return n_ok * fr.dt
 
 
+def span_metrics(error_norms: np.ndarray, truth: np.ndarray, dt: float,
+                 epsilon: float = 0.4):
+    """(mean NMSE, valid time) of one forecast from its per-step ||u(t) - u*(t)||.
+
+    A series shorter than the truth is an aborted forecast: it is normalized
+    over the truth it covers and scored as `failure_metrics` says.
+    """
+    horizon = truth.shape[1]
+    k = error_norms.shape[0]
+    if k == 0:
+        return 2.0, 0.0
+    series = error_norms / nmse_denominator(truth[:, :k])
+    if k < horizon:
+        series = np.concatenate([series, np.full(horizon - k, 2.0)])
+    bad = np.flatnonzero(series > epsilon)
+    n_ok = series.size if bad.size == 0 else int(bad[0])
+    return float(np.mean(series)), n_ok * dt
+
+
 def failure_metrics(partial: np.ndarray, truth: np.ndarray, dt: float,
                     epsilon: float = 0.4):
     """Score an aborted forecast: worst-case padding, never a dropped record.
@@ -141,15 +170,11 @@ def failure_metrics(partial: np.ndarray, truth: np.ndarray, dt: float,
     antipodal-forecast level) out to the full horizon for the mean; valid
     time comes from the prefix alone.
     """
-    horizon = truth.shape[1]
     k = partial.shape[1]
     if k == 0:
         return 2.0, 0.0
     fr = ForecastResult(prediction=partial, truth=truth[:, :k], dt=dt)
-    series = np.concatenate([nmse_series(fr), np.full(horizon - k, 2.0)])
-    bad = np.flatnonzero(series > epsilon)
-    n_ok = series.size if bad.size == 0 else int(bad[0])
-    return float(np.mean(series)), n_ok * dt
+    return span_metrics(np.linalg.norm(fr.truth - fr.prediction, axis=0), truth, dt, epsilon)
 
 
 def space_time_separation(record: np.ndarray, dt: float, max_lag: int, stride: int = 1):

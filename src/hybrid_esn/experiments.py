@@ -12,6 +12,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -24,22 +25,14 @@ from .dynamics import (
     realize_regime,
     simulate,
 )
-from .evaluation import (
-    ForecastResult,
-    MetricRecord,
-    SpanLayout,
-    failure_metrics,
-    mean_nmse,
-    segment,
-    valid_time,
-)
-from .hybrid import ExpertModel
+from .evaluation import MetricRecord, SpanLayout, segment, span_metrics
+from .hybrid import ExpertModel, stack_experts
 from .reservoir import (
-    ForecastAbort,
     ReservoirConfig,
     build_matrices,
     collect_states,
-    forecast,
+    forecast_columns,
+    stack_reservoirs,
     train_readout,
 )
 
@@ -216,75 +209,77 @@ def regime_spec(task: str, name: str) -> RegimeSpec:
     raise ValueError(f"unknown task {task!r}")
 
 
-def _rc_instantiation_records(manifest, model_kind, baselines, regime_name, scheme,
-                              training, spans, base_params, realization,
-                              sweep_name, sweep_value, sweep_index, inst):
+def _perturbed_expert(manifest, baselines, scheme, base_params, role, ctx) -> ExpertModel:
+    expert_base = base_params.base if isinstance(base_params, BiHarmonicParams) else base_params
+    perturbed = perturb_params(expert_base, baselines.sigma_k, baselines.sigma_omega,
+                               scheme.stream(role=role, **ctx))
+    return ExpertModel(params=perturbed, dt=manifest.layout.dt)
+
+
+def _train_instantiation(manifest, model_kind, baselines, scheme, training, base_params, ctx):
+    """Matrices, trained readout and (hybrid) expert of one RC instantiation."""
     cfg = baselines.reservoir_config()
     hybrid = model_kind == "hybrid"
-    d_u = training.shape[0]
-    ctx = dict(task=manifest.task, regime=regime_name, realization=realization,
-               sweep_index=sweep_index, instantiation=inst)
     matrices = build_matrices(
-        cfg, d_u, hybrid,
+        cfg, training.shape[0], hybrid,
         internal_seed=scheme.stream(role="internal", **ctx),
         input_seed=scheme.stream(role="input", **ctx),
     )
-    expert = None
-    if hybrid:
-        expert_base = base_params.base if isinstance(base_params, BiHarmonicParams) else base_params
-        perturbed = perturb_params(expert_base, baselines.sigma_k, baselines.sigma_omega,
-                                   scheme.stream(role="expert_error", **ctx))
-        expert = ExpertModel(params=perturbed, dt=manifest.layout.dt)
+    expert = (_perturbed_expert(manifest, baselines, scheme, base_params, "expert_error", ctx)
+              if hybrid else None)
     history, targets = collect_states(training, matrices, cfg, expert=expert)
     readout = train_readout(history, targets, cfg.regularization)
-    records = []
-    for k, (warmup, test) in enumerate(spans):
-        span_id = realization * manifest.layout.n_tests + k
-        try:
-            preds = forecast(warmup, test.shape[1], matrices, readout, cfg, expert=expert)
-            fr = ForecastResult(prediction=preds, truth=test, dt=manifest.layout.dt)
-            nmse, vt = mean_nmse(fr), valid_time(fr, manifest.epsilon)
-        except ForecastAbort as abort:
-            nmse, vt = failure_metrics(abort.partial, test, manifest.layout.dt,
-                                       manifest.epsilon)
-        records.append(MetricRecord(
-            task=manifest.task, regime=regime_name, model=model_kind,
-            param_name=sweep_name, param_value=sweep_value,
-            instantiation=inst, span=span_id, mean_nmse=nmse, valid_time=vt,
-        ))
-    return records
+    return matrices, readout, expert
 
 
-def _ode_instantiation_records(manifest, baselines, regime_name, scheme, spans,
-                               base_params, realization, sweep_name, sweep_value,
-                               sweep_index, inst):
-    ctx = dict(task=manifest.task, regime=regime_name, realization=realization,
-               sweep_index=sweep_index, instantiation=inst)
-    expert_base = base_params.base if isinstance(base_params, BiHarmonicParams) else base_params
-    perturbed = perturb_params(expert_base, baselines.sigma_k, baselines.sigma_omega,
-                               scheme.stream(role="ode_error", **ctx))
-    expert = ExpertModel(params=perturbed, dt=manifest.layout.dt)
-    records = []
-    for k, (_, test) in enumerate(spans):
-        span_id = realization * manifest.layout.n_tests + k
+def _forecast_records(manifest, model_kind, regime_name, spans, realization,
+                      sweep_name, sweep_value, members):
+    """Forecast every (instantiation, span) column of one arm in lock step and score it.
+
+    `members` holds each instantiation's (matrices, readout, expert), or
+    (None, None, expert) for the bare ODE.  Only the per-step error norms are
+    kept, not the predictions.
+    """
+    n_inst, n_spans = len(members), len(spans)
+    n_cols = n_inst * n_spans
+    experts = [expert for _, _, expert in members]
+    expert = stack_experts(experts, n_spans) if experts[0] is not None else None
+    if model_kind == "ode":
         # No warm-up: the ODE's state is pinned to the first test sample and
         # stepped forward, so its forecast covers test samples 1..H-1.
-        horizon = test.shape[1] - 1
-        preds = np.empty((test.shape[0], horizon))
-        u = test[:, 0]
-        try:
-            for step in range(horizon):
-                u = expert.step(u)
-                preds[:, step] = u
-            fr = ForecastResult(prediction=preds, truth=test[:, 1:], dt=manifest.layout.dt)
-            nmse, vt = mean_nmse(fr), valid_time(fr, manifest.epsilon)
-        except (FloatingPointError, ValueError):
-            nmse, vt = failure_metrics(preds[:, :step], test[:, 1:], manifest.layout.dt,
-                                       manifest.epsilon)
+        truths = [test[:, 1:] for _, test in spans]
+        warmups = np.stack([test[:, :1].T for _, test in spans], axis=1)
+        stack = None
+    else:
+        truths = [test for _, test in spans]
+        warmups = np.stack([warmup.T for warmup, _ in spans], axis=1)
+        stack = stack_reservoirs([m for m, _, _ in members], [r for _, r, _ in members],
+                                 n_spans)
+    warmups = np.tile(warmups, (1, n_inst, 1))
+    truth_steps = np.stack(truths).transpose(2, 1, 0).copy()  # (H, D_u, n_spans)
+    d_u, horizon = truths[0].shape
+    norms = np.empty((horizon, n_cols))
+    # at least two columns, so that numpy sums axis 0 row by row, as
+    # nmse_series does on a D_u x H span, rather than pairwise
+    squares = np.zeros((d_u, max(n_cols, 2)))
+    diff = squares[:, :n_cols].reshape(d_u, n_inst, n_spans)
+
+    def score(k, u_hat):
+        np.subtract(truth_steps[k][:, None, :],
+                    u_hat.reshape(n_inst, n_spans, d_u).transpose(2, 0, 1), out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(squares, axis=0)[:n_cols], out=norms[k])
+
+    aborts = forecast_columns(warmups, horizon, score, stack, expert)
+    records = []
+    for col in range(n_cols):
+        inst, k = divmod(col, n_spans)
+        nmse, vt = span_metrics(norms[:aborts[col], col], truths[k], manifest.layout.dt,
+                                manifest.epsilon)
         records.append(MetricRecord(
-            task=manifest.task, regime=regime_name, model="ode",
-            param_name=sweep_name, param_value=sweep_value,
-            instantiation=inst, span=span_id, mean_nmse=nmse, valid_time=vt,
+            task=manifest.task, regime=regime_name, model=model_kind,
+            param_name=sweep_name, param_value=sweep_value, instantiation=inst,
+            span=realization * manifest.layout.n_tests + k, mean_nmse=nmse, valid_time=vt,
         ))
     return records
 
@@ -322,26 +317,22 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
             if ground_truth_cache is not None:
                 ground_truth_cache[key] = (record, base_params)
         training, spans = segment(record, manifest.layout)
-
-        def unit(inst, realization=realization, training=training, spans=spans,
-                 base_params=base_params):
-            if model_kind == "ode":
-                return _ode_instantiation_records(
-                    manifest, baselines, regime_name, scheme, spans, base_params,
-                    realization, sweep_name, sweep_value, sweep_index, inst)
-            return _rc_instantiation_records(
-                manifest, model_kind, baselines, regime_name, scheme, training,
-                spans, base_params, realization, sweep_name, sweep_value,
-                sweep_index, inst)
-
-        insts = range(manifest.n_instantiations)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for batch in pool.map(unit, insts):
-                    records.extend(batch)
+        contexts = [dict(task=manifest.task, regime=regime_name, realization=realization,
+                         sweep_index=sweep_index, instantiation=inst)
+                    for inst in range(manifest.n_instantiations)]
+        if model_kind == "ode":
+            members = [(None, None, _perturbed_expert(manifest, baselines, scheme, base_params,
+                                                      "ode_error", ctx)) for ctx in contexts]
         else:
-            for inst in insts:
-                records.extend(unit(inst))
+            train = partial(_train_instantiation, manifest, model_kind, baselines, scheme,
+                            training, base_params)
+            if threads > 1:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    members = list(pool.map(train, contexts))
+            else:
+                members = [train(ctx) for ctx in contexts]
+        records.extend(_forecast_records(manifest, model_kind, regime_name, spans, realization,
+                                         sweep_name, sweep_value, members))
     records.sort(key=_record_sort_key)
     return records
 

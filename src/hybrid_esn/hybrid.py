@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import component_rhs, normalize_components, rk4_step
+from .dynamics import KuramotoParams, component_rhs, normalize_components, normalize_rows, rk4_step
 from .reservoir import (
     Readout,
     ReservoirConfig,
@@ -26,6 +26,8 @@ from .reservoir import (
 
 __all__ = [
     "ExpertModel",
+    "RowParams",
+    "stack_experts",
     "HybridReservoir",
     "expert_step",
     "hybrid_input",
@@ -39,21 +41,62 @@ __all__ = [
 class ExpertModel:
     """One-step integrator of the (perturbed) Kuramoto model in component form.
 
-    `calls` counts integrator invocations; tests use it to pin the one-step-
-    per-sample cost model.
+    States are (2N,) or an (S, 2N) batch of rows.  `calls` counts the rows
+    integrated; tests use it to pin the one-step-per-sample cost model.
     """
 
-    params: object  # KuramotoParams | BiHarmonicParams
+    params: object  # KuramotoParams | BiHarmonicParams | RowParams
     dt: float = 0.1
     calls: int = field(default=0, compare=False)
 
+    def _integrate(self, u) -> np.ndarray:
+        u = np.asarray(u, float)
+        self.calls += u.size // u.shape[-1]
+        return rk4_step(lambda v: component_rhs(v, self.params), u, self.dt)
+
     def step(self, u: np.ndarray) -> np.ndarray:
         """Single RK4 step of size dt, renormalized to the unit circle."""
-        self.calls += 1
-        out = rk4_step(lambda v: component_rhs(v, self.params), np.asarray(u, float), self.dt)
+        out = self._integrate(u)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("expert integration produced a non-finite state")
         return normalize_components(out)
+
+    def step_rows(self, u: np.ndarray):
+        """`step` for an (S, 2N) batch that flags failed rows instead of raising.
+
+        Returns (rows, ok) as `normalize_rows` does.
+        """
+        return normalize_rows(self._integrate(u))
+
+
+@dataclass(frozen=True)
+class RowParams:
+    """Kuramoto parameters with one set per row of an (S, 2N) state batch.
+
+    `component_rhs` reads it like KuramotoParams: omega is (S, N) and the
+    coupling (S, 1).
+    """
+
+    omega: np.ndarray
+    coupling: np.ndarray
+
+    @property
+    def n_oscillators(self) -> int:
+        return self.omega.shape[-1]
+
+
+def stack_experts(experts, repeats: int) -> ExpertModel:
+    """One expert whose rows k*repeats .. (k+1)*repeats - 1 follow experts[k].
+
+    The experts must share dt and hold plain KuramotoParams.
+    """
+    if len({e.dt for e in experts}) != 1:
+        raise ValueError("stacked experts must share one step size")
+    if not all(isinstance(e.params, KuramotoParams) for e in experts):
+        raise ValueError("only Kuramoto experts can be stacked")
+    omega = np.repeat(np.stack([e.params.omega for e in experts]), repeats, axis=0)
+    coupling = np.repeat([[e.params.coupling] for e in experts], repeats, axis=0)
+    return ExpertModel(params=RowParams(omega=omega, coupling=coupling), dt=experts[0].dt)
 
 
 @dataclass(frozen=True)

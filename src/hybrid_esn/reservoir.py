@@ -32,10 +32,13 @@ __all__ = [
     "nonlinear_transform",
     "collect_states",
     "train_readout",
+    "ReservoirStack",
+    "stack_reservoirs",
+    "forecast_columns",
     "forecast",
 ]
 
-from .dynamics import normalize_components
+from .dynamics import normalize_rows
 
 
 class ReadoutTrainingError(RuntimeError):
@@ -139,11 +142,14 @@ def spectral_radius_of(a) -> float:
         dense = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
         return float(np.max(np.abs(np.linalg.eigvals(dense))))
     try:
+        # a fixed start vector: ARPACK's default random one depends on what
+        # ran before in the process, and so would the radius
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         # ask for several eigenvalues: sparse random matrices have tightly
         # clustered leading spectra and small-k ARPACK can miss the maximum
         vals = scipy.sparse.linalg.eigs(
             a.astype(float), k=8, which="LM", return_eigenvectors=False,
-            maxiter=10_000, tol=1e-10,
+            maxiter=10_000, tol=1e-10, v0=v0,
         )
         return float(np.max(np.abs(vals)))
     except (scipy.sparse.linalg.ArpackNoConvergence, RuntimeError):
@@ -276,6 +282,125 @@ def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
     return Readout(weights=c)
 
 
+@dataclass(frozen=True)
+class ReservoirStack:
+    """Trained instantiations stacked so that their forecasts advance in lock step.
+
+    Column c = k * n_spans + j runs instantiation k on span j.  The states of
+    all columns form one (n_inst * d_r, n_spans) matrix: row block k holds
+    instantiation k, so one block-diagonal product advances every column.
+    B has one non-zero per row and is applied as a gather from the
+    (n_cols, d_in) input rows.  Every per-column product sums in the same
+    order as the one-column `update_state` and readout, so each column is
+    bitwise equal to a forecast of its own.
+    """
+
+    internal: scipy.sparse.csr_matrix  # block diagonal of the A matrices
+    gather: np.ndarray  # (n_inst * d_r, n_spans) flat indices into the input rows
+    weights: np.ndarray  # (n_inst * d_r, 1) the non-zero of each row of B
+    readouts: np.ndarray  # (n_inst, D_u, D_feat)
+    n_spans: int
+
+    def update(self, r: np.ndarray, u: np.ndarray, u_tilde=None) -> np.ndarray:
+        """r' = tanh(A r + B [u_tilde; u]) for every column; u is (n_cols, D_u)."""
+        x = u if u_tilde is None else np.concatenate([u_tilde, u], axis=1)
+        z = self.internal @ r
+        z += self.weights * np.take(x, self.gather)
+        return np.tanh(z, out=z)
+
+    def readout(self, r: np.ndarray, u_tilde=None) -> np.ndarray:
+        """C_k [u_tilde; g(r)] for every column, as (n_cols, D_u) rows.
+
+        The stacked matmul runs one gemv per column: a single gemm over the
+        columns would round differently from the one-column product.
+        """
+        n_inst, n_spans = self.readouts.shape[0], self.n_spans
+        d_r = r.shape[0] // n_inst
+        off = 0 if u_tilde is None else u_tilde.shape[1]
+        feat = np.empty((n_inst, n_spans, off + d_r))
+        if u_tilde is not None:
+            feat[..., :off] = u_tilde.reshape(n_inst, n_spans, off)
+        feat[..., off:] = r.reshape(n_inst, d_r, n_spans).transpose(0, 2, 1)
+        feat[..., off + 1::2] **= 2  # nonlinear_transform
+        u_hat = np.matmul(self.readouts[:, None], feat[..., None])
+        return u_hat.reshape(n_inst * n_spans, -1)
+
+
+def stack_reservoirs(matrices, readouts, n_spans: int) -> ReservoirStack:
+    """Stack instantiations (matrices[k], readouts[k]) for `n_spans` spans each."""
+    n_inst = len(matrices)
+    d_r, d_in = matrices[0].d_r, matrices[0].d_in
+    cols = np.empty((n_inst, d_r), dtype=np.intp)
+    weights = np.empty((n_inst, d_r))
+    for k, m in enumerate(matrices):
+        if m.input.shape != (d_r, d_in):
+            raise ValueError("stacked instantiations must share their dimensions")
+        if np.any(np.count_nonzero(m.input, axis=1) > 1):
+            raise ValueError("input matrix must have at most one non-zero per row")
+        cols[k] = np.argmax(m.input != 0, axis=1)
+        weights[k] = m.input[np.arange(d_r), cols[k]]
+    column = np.arange(n_inst)[:, None, None] * n_spans + np.arange(n_spans)
+    gather = column * d_in + cols[:, :, None]
+    return ReservoirStack(
+        internal=scipy.sparse.block_diag([m.internal for m in matrices], format="csr"),
+        gather=gather.reshape(n_inst * d_r, n_spans),
+        weights=weights.reshape(n_inst * d_r, 1),
+        readouts=np.stack([r.weights for r in readouts]),
+        n_spans=n_spans,
+    )
+
+
+def forecast_columns(warmups: np.ndarray, horizon: int, on_step, stack=None,
+                     expert=None) -> np.ndarray:
+    """Forecast many columns autoregressively in lock step.
+
+    `warmups` is (W, n_cols, D_u): each column's warm-up inputs.  With a
+    reservoir `stack`, each column starts from r = 0, consumes its warm-up
+    feed-forward (through the expert too, if given) and then feeds back its
+    renormalized readout; an expert failure fails every column.  Without a
+    reservoir the expert alone forecasts from the last warm-up sample, and a
+    failed expert step aborts only its column.
+
+    `on_step(k, u_hat)` receives the (n_cols, D_u) predictions of step k.
+    A column whose prediction is non-finite or unnormalizable is aborted:
+    from then on it replays its last accepted input, which keeps it finite
+    and leaves the other columns untouched.  Returns each column's abort
+    step, or `horizon` where it ran to the end; the loop ends early once
+    every column has aborted.
+    """
+    n_cols = warmups.shape[1]
+    aborts = np.full(n_cols, horizon)
+    alive = np.ones(n_cols, dtype=bool)
+    frozen = False
+    u = warmups[-1]
+    if stack is not None:
+        r = np.zeros((stack.internal.shape[0], stack.n_spans))
+        u_tilde = None
+        for u in warmups:
+            if expert is not None:
+                u_tilde = expert.step(u)
+            r = stack.update(r, u, u_tilde)
+    for k in range(horizon):
+        if stack is None:
+            u_hat, ok = expert.step_rows(u)
+        else:
+            u_hat, ok = normalize_rows(stack.readout(r, u_tilde))
+        if frozen or not ok.all():
+            aborts[alive & ~ok] = k
+            alive &= ok
+            if not alive.any():
+                break
+            u_hat[~alive] = u[~alive]
+            frozen = True
+        on_step(k, u_hat)
+        u = u_hat
+        if stack is not None and k < horizon - 1:
+            if expert is not None:
+                u_tilde = expert.step(u)
+            r = stack.update(r, u, u_tilde)
+    return aborts
+
+
 def forecast(warmup: np.ndarray, horizon: int, m: ReservoirMatrices, readout: Readout,
              cfg: ReservoirConfig, expert=None) -> np.ndarray:
     """Warm up on a span, then forecast autoregressively for `horizon` steps.
@@ -283,37 +408,20 @@ def forecast(warmup: np.ndarray, horizon: int, m: ReservoirMatrices, readout: Re
     The reservoir starts from r = 0, consumes the warm-up span feed-forward,
     and then feeds its own (renormalized) output back in; prediction step 1
     corresponds to the first ground-truth test sample.  Returns D_u x horizon.
+    This is the one-column case of `forecast_columns`.
     """
     if warmup.ndim != 2 or warmup.shape[1] < 1:
         raise ValueError("warm-up span must contain at least one sample")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    d_u = warmup.shape[0]
-    r = np.zeros(m.d_r)
-    u_tilde = None
-    for t in range(warmup.shape[1]):
-        u = warmup[:, t]
-        if expert is not None:
-            u_tilde = expert.step(u)
-            r = update_state(r, np.concatenate([u_tilde, u]), m)
-        else:
-            r = update_state(r, u, m)
-    preds = np.empty((d_u, horizon))
-    for k in range(horizon):
-        g = nonlinear_transform(r)
-        feat = np.concatenate([u_tilde, g]) if expert is not None else g
-        u_hat = readout.weights @ feat
-        if not np.all(np.isfinite(u_hat)):
-            raise ForecastAbort(preds[:, :k].copy(), k, "non-finite prediction")
-        try:
-            u_hat = normalize_components(u_hat)
-        except ValueError as exc:
-            raise ForecastAbort(preds[:, :k].copy(), k, str(exc)) from exc
-        preds[:, k] = u_hat
-        if k < horizon - 1:
-            if expert is not None:
-                u_tilde = expert.step(u_hat)
-                r = update_state(r, np.concatenate([u_tilde, u_hat]), m)
-            else:
-                r = update_state(r, u_hat, m)
+    preds = np.empty((warmup.shape[0], horizon))
+
+    def keep(k, u_hat):
+        preds[:, k] = u_hat[0]
+
+    aborts = forecast_columns(np.ascontiguousarray(warmup.T[:, None, :]), horizon, keep,
+                              stack_reservoirs([m], [readout], 1), expert)
+    k = int(aborts[0])
+    if k < horizon:
+        raise ForecastAbort(preds[:, :k].copy(), k, "non-finite or unnormalizable prediction")
     return preds

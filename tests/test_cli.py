@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hybrid_esn.cli import main
 from hybrid_esn.config import SCHEMA_VERSION
 from hybrid_esn.io import load_model, read_metric_csv, read_trajectory_csv
+from hybrid_esn.reservoir import CollectionError
 
 
 @pytest.fixture
@@ -33,6 +34,13 @@ def write_config(tmp_path, **kw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def assert_one_line_error(result, code, fragment):
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
 
 
 class TestGenerate:
@@ -76,6 +84,23 @@ class TestGenerate:
                                       "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
         assert "turbulence" in result.output
+
+    def test_numerical_blowup_exits_3(self, runner, tmp_path):
+        # this seed draws a Cauchy-tail natural frequency that RK4 at 10
+        # substeps per sample cannot follow
+        cfg = write_config(tmp_path, task="residual_physics",
+                           regimes=["heteroclinic_cycles"], master_seed=14317)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(main, ["generate", "--config", str(cfg),
+                                          "--regime", "heteroclinic_cycles",
+                                          "--out", str(tmp_path / "x.csv")])
+        assert_one_line_error(result, 3, "non-finite state")
+
+    def test_single_sample_test_span_exits_2(self, runner, tmp_path):
+        cfg = write_config(tmp_path, layout={**TINY_LAYOUT, "test": 1})
+        result = runner.invoke(main, ["generate", "--config", str(cfg),
+                                      "--regime", "synchrony", "--out", str(tmp_path / "x.csv")])
+        assert_one_line_error(result, 2, "test must be >= 2")
 
     def test_malformed_config_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -128,6 +153,31 @@ class TestTrainForecast:
         preds, _ = read_trajectory_csv(out)
         assert preds.shape == (10, 40)
         assert "mean_nmse=" in result.output and "valid_time_s=" in result.output
+
+    def test_train_zero_regularization_exits_2(self, runner, tmp_path):
+        # a rank-deficient Gram matrix with beta = 0 is a configuration error
+        cfg = write_config(tmp_path, baselines={"size": 200, "regularization": 0})
+        result = runner.invoke(main, ["train", "--config", str(cfg), "--regime", "synchrony",
+                                      "--model", "hybrid", "--out", str(tmp_path / "m.bin")])
+        assert_one_line_error(result, 2, "rank deficient")
+
+    def test_forecast_abort_exits_3(self, runner, tmp_path):
+        # an overwhelming ridge penalty shrinks the readout to ~0, which
+        # cannot be renormalized at the first step
+        cfg = write_config(tmp_path, baselines={"size": 40, "regularization": 1e30})
+        result = runner.invoke(main, ["forecast", "--config", str(cfg), "--regime", "synchrony",
+                                      "--model", "standard", "--out", str(tmp_path / "p.csv")])
+        assert_one_line_error(result, 3, "forecast aborted at step 0")
+
+    def test_forecast_collection_error_exits_3(self, runner, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise CollectionError(4)
+
+        monkeypatch.setattr("hybrid_esn.cli.collect_states", fail)
+        cfg = write_config(tmp_path)
+        result = runner.invoke(main, ["forecast", "--config", str(cfg), "--regime", "synchrony",
+                                      "--out", str(tmp_path / "p.csv")])
+        assert_one_line_error(result, 3, "training step 4")
 
     def test_forecast_span_out_of_range_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)

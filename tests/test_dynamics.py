@@ -24,6 +24,7 @@ from hybrid_esn.dynamics import (
     simulate,
     standard_regime,
 )
+from hybrid_esn.hybrid import RowParams
 
 RNG = np.random.default_rng(1234)
 
@@ -137,6 +138,38 @@ class TestComponentRhs:
         params = KuramotoParams(omega=np.zeros(2), coupling=1.0)
         with pytest.raises(ValueError):
             component_rhs(np.zeros(3), params)
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_batch_rows_equal_single_calls(self, n):
+        # a leading batch axis reduces over the same contiguous last axis, so
+        # every row is bitwise the 1-d call, and both follow the phase form
+        rng = np.random.default_rng(n)
+        base = KuramotoParams(omega=rng.normal(size=n), coupling=1.5)
+        phase_forms = ((base, kuramoto_rhs),
+                       (BiHarmonicParams(base=base, gamma1=1.3, gamma2=np.pi,
+                                         second_harmonic_scale=0.2), biharmonic_rhs))
+        for params, phase_rhs in phase_forms:
+            theta = rng.uniform(-np.pi, np.pi, (7, n))
+            states = np.stack([phases_to_components(t) for t in theta])
+            batch = component_rhs(states, params)
+            for row, t, state in zip(batch, theta, states):
+                np.testing.assert_array_equal(row, component_rhs(state, params))
+                dtheta = phase_rhs(t, params)
+                np.testing.assert_allclose(row[0::2], -np.sin(t) * dtheta, atol=1e-12)
+                np.testing.assert_allclose(row[1::2], np.cos(t) * dtheta, atol=1e-12)
+
+    def test_per_row_parameters(self):
+        # RowParams rows (omega (S, N), coupling (S, 1)) equal the 1-d call
+        # with each row's own KuramotoParams
+        rng = np.random.default_rng(8)
+        params = [KuramotoParams(omega=rng.normal(size=5), coupling=rng.uniform(0.5, 4.0))
+                  for _ in range(4)]
+        rows = RowParams(omega=np.stack([p.omega for p in params]),
+                         coupling=np.array([[p.coupling] for p in params]))
+        states = np.stack([random_unit_state(5, rng) for _ in params])
+        batch = component_rhs(states, rows)
+        for row, p, state in zip(batch, params, states):
+            np.testing.assert_array_equal(row, component_rhs(state, p))
 
 
 class TestIntegrateStep:

@@ -11,6 +11,7 @@ from hybrid_esn.evaluation import (
     nmse_series,
     segment,
     space_time_separation,
+    span_metrics,
     valid_time,
 )
 
@@ -26,6 +27,13 @@ class TestSpanLayout:
             SpanLayout(training=0)
         with pytest.raises(ValueError):
             SpanLayout(dt=0.0)
+
+    def test_rejects_single_sample_test_span(self):
+        # the bare-ODE forecast covers test - 1 samples: a 0-step forecast
+        # has no NMSE
+        with pytest.raises(ValueError, match="test must be >= 2"):
+            SpanLayout(test=1)
+        assert SpanLayout(test=2).test == 2
 
 
 class TestSegment:
@@ -190,6 +198,24 @@ class TestFailureMetrics:
         m, t = failure_metrics(partial, truth, 0.1)
         assert t == pytest.approx(0.1)
         assert m == pytest.approx((0.0 + 0.5 + 0.0 + 2.0) / 4.0)
+
+
+class TestSpanMetrics:
+    def test_full_series_matches_mean_nmse_and_valid_time(self):
+        rng = np.random.default_rng(5)
+        truth = rng.normal(size=(6, 40))
+        pred = truth + rng.normal(scale=0.3, size=truth.shape)
+        fr = ForecastResult(prediction=pred, truth=truth, dt=0.1)
+        norms = np.linalg.norm(truth - pred, axis=0)
+        assert span_metrics(norms, truth, 0.1, 0.4) == (mean_nmse(fr), valid_time(fr, 0.4))
+
+    def test_prefix_matches_failure_metrics(self):
+        rng = np.random.default_rng(6)
+        truth = rng.normal(size=(6, 40))
+        partial = truth[:, :13] + rng.normal(scale=0.3, size=(6, 13))
+        norms = np.linalg.norm(truth[:, :13] - partial, axis=0)
+        assert span_metrics(norms, truth, 0.1) == failure_metrics(partial, truth, 0.1)
+        assert span_metrics(norms[:0], truth, 0.1) == (2.0, 0.0)
 
 
 class TestSpaceTimeSeparation:

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from hybrid_esn.evaluation import MetricRecord, SpanLayout
+from hybrid_esn.dynamics import perturb_params, realize_regime, simulate
+from hybrid_esn.evaluation import (
+    ForecastResult,
+    MetricRecord,
+    SpanLayout,
+    mean_nmse,
+    segment,
+    valid_time,
+)
 from hybrid_esn.experiments import (
     GRID_POINTS,
     GRID_REGIMES,
@@ -18,6 +26,8 @@ from hybrid_esn.experiments import (
     run_sweep,
     write_run_log,
 )
+from hybrid_esn.hybrid import ExpertModel
+from hybrid_esn.reservoir import build_matrices, collect_states, forecast, train_readout
 
 TINY = SpanLayout(training=200, train_test_gap=50, warmup=20, test=60,
                   test_test_gap=10, n_tests=2)
@@ -166,6 +176,62 @@ class TestSharedProcedure:
                 assert np.isfinite(r.mean_nmse) and r.mean_nmse >= 0.0
                 horizon = TINY.test if model != "ode" else TINY.test - 1
                 assert 0.0 <= r.valid_time <= horizon * TINY.dt + 1e-12
+
+
+    @pytest.mark.parametrize("model", ["standard", "hybrid", "ode"])
+    def test_records_equal_per_span_reference(self, model):
+        # the lock-step forecast and its online scoring reproduce, bit for
+        # bit, forecasting and scoring every (instantiation, span) on its own
+        man = tiny_manifest(n_instantiations=2,
+                            layout=SpanLayout(training=200, train_test_gap=50, warmup=20,
+                                              test=60, test_test_gap=10, n_tests=3))
+        base = tiny_baselines()
+        got = run_shared_procedure(man, model, base, "synchrony", threads=2)
+        scheme = SeedScheme(man.master_seed)
+        params, theta0 = realize_regime(regime_spec(man.task, "synchrony"),
+                                        scheme.stream(man.task, "synchrony"))
+        record = simulate(params, theta0, man.integrator, man.layout.total_steps)
+        training, spans = segment(record, man.layout)
+        cfg = base.reservoir_config()
+        want = []
+        for inst in range(man.n_instantiations):
+            ctx = dict(task=man.task, regime="synchrony", realization=0, sweep_index=0,
+                       instantiation=inst)
+            role = "ode_error" if model == "ode" else "expert_error"
+            expert = ExpertModel(perturb_params(params, base.sigma_k, base.sigma_omega,
+                                                scheme.stream(role=role, **ctx)))
+            if model != "ode":
+                m = build_matrices(cfg, 10, model == "hybrid",
+                                   scheme.stream(role="internal", **ctx),
+                                   scheme.stream(role="input", **ctx))
+                expert = expert if model == "hybrid" else None
+                readout = train_readout(*collect_states(training, m, cfg, expert=expert),
+                                        cfg.regularization)
+            for k, (warmup, test) in enumerate(spans):
+                if model == "ode":
+                    preds, truth = np.empty((10, test.shape[1] - 1)), test[:, 1:]
+                    u = test[:, 0]
+                    for step in range(truth.shape[1]):
+                        u = preds[:, step] = expert.step(u)
+                else:
+                    preds = forecast(warmup, test.shape[1], m, readout, cfg, expert=expert)
+                    truth = test
+                fr = ForecastResult(prediction=preds, truth=truth, dt=man.layout.dt)
+                want.append(MetricRecord(
+                    task=man.task, regime="synchrony", model=model, param_name="baseline",
+                    param_value=0.0, instantiation=inst, span=k, mean_nmse=mean_nmse(fr),
+                    valid_time=valid_time(fr, man.epsilon)))
+        assert got == want
+
+    def test_threads_identical_above_dense_eigen_limit(self):
+        # sizes above 2048 take their spectral radius from ARPACK
+        layout = SpanLayout(training=30, train_test_gap=5, warmup=5, test=10,
+                            test_test_gap=2, n_tests=2)
+        man = tiny_manifest(layout=layout)
+        base = tiny_baselines(size=2100)
+        a = run_shared_procedure(man, "standard", base, "synchrony", threads=1)
+        b = run_shared_procedure(man, "standard", base, "synchrony", threads=2)
+        assert a == b
 
 
 def _rec(model="standard", inst=0, span=0, nmse=0.0, vt=0.0):

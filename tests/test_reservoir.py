@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
-from hybrid_esn.dynamics import IntegratorConfig, generate_trajectory, standard_regime
+from hybrid_esn.dynamics import (
+    IntegratorConfig,
+    KuramotoParams,
+    generate_trajectory,
+    normalize_components,
+    perturb_params,
+    realize_regime,
+    simulate,
+    standard_regime,
+)
+from hybrid_esn.hybrid import ExpertModel, stack_experts
 from hybrid_esn.reservoir import (
     ForecastAbort,
     ReadoutTrainingError,
@@ -15,8 +26,10 @@ from hybrid_esn.reservoir import (
     build_matrices,
     collect_states,
     forecast,
+    forecast_columns,
     nonlinear_transform,
     spectral_radius_of,
+    stack_reservoirs,
     train_readout,
     update_state,
 )
@@ -38,6 +51,18 @@ class TestSpectralRadius:
         want = np.max(np.abs(np.linalg.eigvals(dense)))
         got = spectral_radius_of(scipy.sparse.csr_matrix(dense))
         assert abs(got - want) < 1e-8 * want
+
+
+    def test_arpack_radius_reproducible_above_dense_limit(self):
+        # above 2048 the radius comes from ARPACK; its start vector is fixed,
+        # so other ARPACK calls in between cannot move the result
+        a = build_internal_matrix(ReservoirConfig(size=2100), 3)
+        first = spectral_radius_of(a)
+        other = scipy.sparse.random(500, 500, density=0.02, random_state=0).tocsr()
+        for _ in range(3):
+            scipy.sparse.linalg.eigs(other, k=4, return_eigenvectors=False)
+        assert spectral_radius_of(a) == first
+        assert abs(first - 0.4) < 1e-6
 
 
 class TestInternalMatrix:
@@ -319,3 +344,142 @@ class TestEchoState:
             r1 = update_state(r1, u, m)
             r2 = update_state(r2, u, m)
         assert np.max(np.abs(r1 - r2)) < 1e-6
+
+
+def reference_forecast(warmup, horizon, m, readout, expert=None):
+    """The per-span loop that the lock-step forecast replaces; returns the
+    predictions up to an abort."""
+    r = np.zeros(m.d_r)
+    u_tilde = None
+    for t in range(warmup.shape[1]):
+        u = warmup[:, t]
+        if expert is not None:
+            u_tilde = expert.step(u)
+            u = np.concatenate([u_tilde, u])
+        r = update_state(r, u, m)
+    preds = np.empty((warmup.shape[0], horizon))
+    for k in range(horizon):
+        g = nonlinear_transform(r)
+        u_hat = readout.weights @ (np.concatenate([u_tilde, g]) if expert is not None else g)
+        if not np.all(np.isfinite(u_hat)):
+            return preds[:, :k]
+        try:
+            u_hat = normalize_components(u_hat)
+        except ValueError:
+            return preds[:, :k]
+        preds[:, k] = u_hat
+        if expert is not None:
+            u_tilde = expert.step(u_hat)
+            u_hat = np.concatenate([u_tilde, u_hat])
+        r = update_state(r, u_hat, m)
+    return preds
+
+
+def reference_expert_forecast(start, horizon, expert):
+    """The per-step ExpertModel.step loop of the bare-ODE arm."""
+    preds = np.empty((start.size, horizon))
+    u = start
+    for k in range(horizon):
+        try:
+            u = expert.step(u)
+        except (FloatingPointError, ValueError):
+            return preds[:, :k]
+        preds[:, k] = u
+    return preds
+
+
+N_INST, N_SPANS, WARMUP, HORIZON = 2, 3, 25, 60
+
+
+@pytest.fixture(scope="module")
+def lockstep_setup():
+    params, theta0 = realize_regime(standard_regime("synchrony"), 31)
+    record = simulate(params, theta0, IntegratorConfig(), 700)
+    starts = [250 + 140 * j for j in range(N_SPANS)]
+    spans = [record[:, s:s + WARMUP] for s in starts]
+    truths = [record[:, s + WARMUP:s + WARMUP + HORIZON] for s in starts]
+    return params, record[:, :201], spans, truths
+
+
+def train_instantiations(setup, hybrid, size=60):
+    params, training, _, _ = setup
+    cfg = ReservoirConfig(size=size)
+    members = []
+    for k in range(N_INST):
+        m = build_matrices(cfg, 10, hybrid, 40 + k, 50 + k)
+        expert = ExpertModel(perturb_params(params, 0.1, 0.1, 60 + k)) if hybrid else None
+        history, targets = collect_states(training, m, cfg, expert=expert)
+        members.append((m, train_readout(history, targets, cfg.regularization), expert))
+    return members
+
+
+def run_lockstep(warmups, horizon, stack, expert):
+    """Columns are instantiation-major: column k*N_SPANS + j is (k, j)."""
+    warm = np.tile(np.stack([w.T for w in warmups], axis=1), (1, N_INST, 1))
+    preds = np.full((horizon, warm.shape[1], warm.shape[2]), np.nan)
+
+    def keep(k, u_hat):
+        preds[k] = u_hat
+
+    aborts = forecast_columns(warm, horizon, keep, stack, expert)
+    return [preds[:aborts[c], c].T for c in range(warm.shape[1])], aborts
+
+
+class TestLockstepForecast:
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_columns_equal_per_span_forecasts(self, lockstep_setup, hybrid):
+        _, _, spans, _ = lockstep_setup
+        members = train_instantiations(lockstep_setup, hybrid)
+        stack = stack_reservoirs([m for m, _, _ in members], [r for _, r, _ in members],
+                                 N_SPANS)
+        expert = stack_experts([e for _, _, e in members], N_SPANS) if hybrid else None
+        columns, aborts = run_lockstep(spans, HORIZON, stack, expert)
+        assert np.all(aborts == HORIZON)
+        for c, got in enumerate(columns):
+            m, readout, ex = members[c // N_SPANS]
+            want = reference_forecast(spans[c % N_SPANS], HORIZON, m, readout, ex)
+            np.testing.assert_array_equal(got, want)
+            if c % N_SPANS == 0:
+                np.testing.assert_array_equal(
+                    forecast(spans[0], HORIZON, m, readout, ReservoirConfig(), expert=ex), want)
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_nan_readout_aborts_only_its_columns(self, lockstep_setup, hybrid):
+        _, _, spans, _ = lockstep_setup
+        members = train_instantiations(lockstep_setup, hybrid)
+        bad = Readout(weights=np.full_like(members[0][1].weights, np.nan))
+        members[0] = (members[0][0], bad, members[0][2])
+        stack = stack_reservoirs([m for m, _, _ in members], [r for _, r, _ in members],
+                                 N_SPANS)
+        expert = stack_experts([e for _, _, e in members], N_SPANS) if hybrid else None
+        columns, aborts = run_lockstep(spans, HORIZON, stack, expert)
+        np.testing.assert_array_equal(aborts, [0] * N_SPANS + [HORIZON] * N_SPANS)
+        for c, got in enumerate(columns):
+            m, readout, ex = members[c // N_SPANS]
+            want = reference_forecast(spans[c % N_SPANS], HORIZON, m, readout, ex)
+            np.testing.assert_array_equal(got, want)
+
+    def test_bare_expert_columns_equal_step_loop(self, lockstep_setup):
+        params, _, _, truths = lockstep_setup
+        experts = [ExpertModel(perturb_params(params, 0.1, 0.1, 70 + k)) for k in range(N_INST)]
+        # an expert whose fast oscillator overflows in one RK4 step fails
+        # only its own columns
+        experts.append(ExpertModel(KuramotoParams(omega=np.full(5, 1e300), coupling=1.0)))
+        starts = [t[:, :1] for t in truths]
+        n_inst = len(experts)
+        warm = np.tile(np.stack([s.T for s in starts], axis=1), (1, n_inst, 1))
+        preds = np.empty((HORIZON, warm.shape[1], 10))
+
+        def keep(k, u_hat):
+            preds[k] = u_hat
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            aborts = forecast_columns(warm, HORIZON, keep, None,
+                                      stack_experts(experts, N_SPANS))
+            for c in range(warm.shape[1]):
+                want = reference_expert_forecast(starts[c % N_SPANS][:, 0], HORIZON,
+                                                 experts[c // N_SPANS])
+                assert aborts[c] == want.shape[1]
+                np.testing.assert_array_equal(preds[:aborts[c], c].T, want)
+        np.testing.assert_array_equal(aborts[-N_SPANS:], 0)
+        assert np.all(aborts[:-N_SPANS] == HORIZON)
