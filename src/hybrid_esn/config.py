@@ -124,6 +124,21 @@ _TOP_KEYS = (
 )
 
 
+def _check_baselines(baselines: Baselines, sweep: SweepSpec | None) -> None:
+    """Reject an out-of-range baseline or sweep value before anything runs."""
+    points = [("baselines", baselines)]
+    if sweep is not None:
+        points += [(f"sweep value {sweep.parameter}={value:g}",
+                    baselines.with_param(sweep.parameter, value)) for value in sweep.values]
+    for where, point in points:
+        try:
+            point.reservoir_config()
+            if point.sigma_k < 0 or point.sigma_omega < 0:
+                raise ValueError("error standard deviations must be non-negative")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document."""
     if not isinstance(doc, dict):
@@ -164,6 +179,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                               values=tuple(sweep_doc["values"]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    _check_baselines(baselines, sweep)
 
     master_seed = doc.get("master_seed", 0)
     env_seed = os.environ.get(SEED_ENV_VAR)

@@ -17,6 +17,7 @@ __all__ = [
     "NumericalBlowup",
     "KuramotoParams",
     "BiHarmonicParams",
+    "RowParams",
     "FrequencyLaw",
     "RegimeSpec",
     "IntegratorConfig",
@@ -37,6 +38,7 @@ __all__ = [
     "realize_regime",
     "perturb_params",
     "simulate",
+    "simulate_batch",
     "generate_trajectory",
 ]
 
@@ -76,13 +78,31 @@ class KuramotoParams:
 
 
 @dataclass(frozen=True)
+class RowParams:
+    """Kuramoto parameters with one set per row of an (S, 2N) state batch.
+
+    `component_rhs` reads it like KuramotoParams: omega is (S, N) and the
+    coupling a scalar shared by every row or (S, 1), one per row.
+    """
+
+    omega: np.ndarray
+    coupling: float | np.ndarray
+
+    @property
+    def n_oscillators(self) -> int:
+        return self.omega.shape[-1]
+
+
+@dataclass(frozen=True)
 class BiHarmonicParams:
     """Kuramoto coupling with phase shifts and a scaled second harmonic.
 
     Reduces to the plain model when gamma1 = 0 and second_harmonic_scale = 0.
+    A RowParams base gives every row of a state batch its own omega under
+    the shared harmonics.
     """
 
-    base: KuramotoParams
+    base: KuramotoParams | RowParams
     gamma1: float
     gamma2: float
     second_harmonic_scale: float
@@ -298,8 +318,8 @@ def component_rhs(state, params) -> np.ndarray:
 
     `state` is (..., 2N) with any leading batch axes; every reduction runs
     over the contiguous last axis, so each row is bitwise equal to the 1-d
-    call.  `params.omega` may be (N,) or carry the batch axes, (S, N), with
-    `params.coupling` then (S, 1): one parameter set per row.
+    call.  `params` (or its bi-harmonic base) may be a RowParams, with one
+    omega per row.
     """
     state = np.asarray(state, dtype=float)
     if state.ndim == 0 or state.shape[-1] != 2 * params.n_oscillators:
@@ -428,27 +448,79 @@ def perturb_params(params, sigma_k: float, sigma_omega: float, seed):
     return new_base
 
 
+def _integrate(params, state, cfg: IntegratorConfig, n_steps: int):
+    """The ground-truth integration loop, for one record or a batch of rows.
+
+    `state` is one (2N,) record with scalar `params`, or an (S, 2N) batch
+    with RowParams.  Returns (samples, failed): samples is (..., 2N,
+    n_steps + 1), every stored sample renormalized to the per-oscillator
+    unit circle, and failed holds 0 for a row that finished or the sample k
+    at which the row went non-finite (or collapsed a pair to the origin).
+    A failed row is left to itself: rows never mix, so the others stay
+    bitwise what they would be alone.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    out = np.empty(state.shape + (n_steps + 1,))
+    out[..., 0] = state
+    failed = np.zeros(state.shape[:-1], dtype=int)
+    h = cfg.dt / cfg.substeps_per_sample
+    f = lambda v: component_rhs(v, params)
+    # the finiteness check below catches every overflow, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            for _ in range(cfg.substeps_per_sample):
+                state = rk4_step(f, state, h)
+            state, ok = normalize_rows(state)
+            if not ok.all():
+                failed[(failed == 0) & ~ok] = k
+                if failed.all():
+                    break
+            out[..., k] = state
+    return out, failed
+
+
 def simulate(params, theta0, cfg: IntegratorConfig, n_steps: int) -> np.ndarray:
     """Integrate in component form; returns a 2N x (n_steps+1) sample matrix.
 
     Each stored sample is renormalized to the per-oscillator unit circle so
-    long records cannot drift off the manifold.
+    long records cannot drift off the manifold.  Raises NumericalBlowup(k)
+    if the state goes non-finite by sample k.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    state = phases_to_components(theta0)
-    out = np.empty((state.size, n_steps + 1))
-    out[:, 0] = state
-    h = cfg.dt / cfg.substeps_per_sample
-    f = lambda v: component_rhs(v, params)
-    for k in range(1, n_steps + 1):
-        for _ in range(cfg.substeps_per_sample):
-            state = rk4_step(f, state, h)
-        if not np.all(np.isfinite(state)):
-            raise NumericalBlowup(k)
-        state = normalize_components(state)
-        out[:, k] = state
+    out, failed = _integrate(params, phases_to_components(theta0), cfg, n_steps)
+    if failed:
+        raise NumericalBlowup(int(failed))
     return out
+
+
+def simulate_batch(params, theta0s, cfg: IntegratorConfig, n_steps: int):
+    """`simulate` for S records of one regime, integrated together as (S, 2N) rows.
+
+    `params` and `theta0s` hold one KuramotoParams or BiHarmonicParams and
+    one phase vector per record; the records may differ only in omega.
+    Returns (records, failed): records[s] is bitwise what simulate returns
+    for record s, and failed[s] is 0, or the k of the NumericalBlowup(k)
+    that simulate raises for it (records[s] is then undefined).  One record
+    keeps simulate's 1-d state and scalar parameters, which are faster.
+    """
+    if len(params) != len(theta0s) or not params:
+        raise ValueError("need one initial phase vector per parameter set")
+    if len(params) == 1:
+        out, failed = _integrate(params[0], phases_to_components(theta0s[0]), cfg, n_steps)
+        return out[None], failed[None]
+    state = np.stack([phases_to_components(t) for t in theta0s])
+    return _integrate(_row_params(params), state, cfg, n_steps)
+
+
+def _row_params(params):
+    """One RowParams (under the shared harmonics, if bi-harmonic) for a record list."""
+    harmonics = {(p.gamma1, p.gamma2, p.second_harmonic_scale)
+                 if isinstance(p, BiHarmonicParams) else None for p in params}
+    bases = [p.base if isinstance(p, BiHarmonicParams) else p for p in params]
+    if len(harmonics) != 1 or len({b.coupling for b in bases}) != 1:
+        raise ValueError("batched records may differ only in their natural frequencies")
+    rows = RowParams(omega=np.stack([b.omega for b in bases]), coupling=bases[0].coupling)
+    return rows if harmonics == {None} else replace(params[0], base=rows)
 
 
 def generate_trajectory(regime: RegimeSpec, cfg: IntegratorConfig, n_steps: int, seed) -> np.ndarray:

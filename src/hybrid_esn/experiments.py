@@ -20,10 +20,11 @@ from . import dynamics
 from .dynamics import (
     BiHarmonicParams,
     IntegratorConfig,
+    NumericalBlowup,
     RegimeSpec,
     perturb_params,
     realize_regime,
-    simulate,
+    simulate_batch,
 )
 from .evaluation import MetricRecord, SpanLayout, segment, span_metrics
 from .hybrid import ExpertModel, stack_experts
@@ -209,6 +210,26 @@ def regime_spec(task: str, name: str) -> RegimeSpec:
     raise ValueError(f"unknown task {task!r}")
 
 
+def _integrate_ground_truths(manifest, regime_name, sweep_indices, cache) -> None:
+    """Integrate the ground truth of every (sweep index, realization) of one regime in one call.
+
+    Each record draws its parameters from its own ground-truth stream and
+    goes into `cache` under (task, regime, realization, sweep index) as
+    (record, base params), or as the NumericalBlowup it raised, which every
+    arm reading it then raises in turn.
+    """
+    scheme = SeedScheme(manifest.master_seed)
+    regime = regime_spec(manifest.task, regime_name)
+    keys = [(manifest.task, regime_name, realization, idx)
+            for idx in sweep_indices for realization in range(manifest.n_realizations)]
+    draws = [realize_regime(regime, scheme.stream(task, name, realization, idx))
+             for task, name, realization, idx in keys]
+    records, failed = simulate_batch([p for p, _ in draws], [t for _, t in draws],
+                                     manifest.integrator, manifest.layout.total_steps)
+    for key, (base_params, _), record, step in zip(keys, draws, records, failed):
+        cache[key] = NumericalBlowup(int(step)) if step else (record, base_params)
+
+
 def _perturbed_expert(manifest, baselines, scheme, base_params, role, ctx) -> ExpertModel:
     expert_base = base_params.base if isinstance(base_params, BiHarmonicParams) else base_params
     perturbed = perturb_params(expert_base, baselines.sigma_k, baselines.sigma_omega,
@@ -295,27 +316,26 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
                          threads: int = 1, ground_truth_cache: dict | None = None):
     """Train and test one model arm on one regime; one record per (instantiation, span).
 
-    For each realization: generate the ground-truth record, segment it, train
-    every instantiation on the training span, and forecast all test spans.
-    Failed forecasts are scored with worst-case padding, never dropped.
+    For each realization: take the ground-truth record (integrated here,
+    every realization in one batched call, unless `ground_truth_cache`
+    holds it), segment it, train every instantiation on the training span,
+    and forecast all test spans.  Failed forecasts are scored with
+    worst-case padding, never dropped.
     """
     if model_kind not in ("standard", "hybrid", "ode"):
         raise ValueError(f"unknown model kind {model_kind!r}")
     scheme = SeedScheme(manifest.master_seed)
-    regime = regime_spec(manifest.task, regime_name)
+    cache = {} if ground_truth_cache is None else ground_truth_cache
+    keys = [(manifest.task, regime_name, realization, sweep_index)
+            for realization in range(manifest.n_realizations)]
+    if not all(key in cache for key in keys):
+        _integrate_ground_truths(manifest, regime_name, [sweep_index], cache)
     records = []
-    for realization in range(manifest.n_realizations):
-        key = (manifest.task, regime_name, realization, sweep_index)
-        if ground_truth_cache is not None and key in ground_truth_cache:
-            record, base_params = ground_truth_cache[key]
-        else:
-            rng = scheme.stream(manifest.task, regime_name, realization,
-                                sweep_index, 0, "ground_truth")
-            base_params, theta0 = realize_regime(regime, rng)
-            record = simulate(base_params, theta0, manifest.integrator,
-                              manifest.layout.total_steps)
-            if ground_truth_cache is not None:
-                ground_truth_cache[key] = (record, base_params)
+    for realization, key in enumerate(keys):
+        entry = cache[key]
+        if isinstance(entry, NumericalBlowup):
+            raise entry
+        record, base_params = entry
         training, spans = segment(record, manifest.layout)
         contexts = [dict(task=manifest.task, regime=regime_name, realization=realization,
                          sweep_index=sweep_index, instantiation=inst)
@@ -385,15 +405,19 @@ def run_sweep(manifest: RunManifest, sweep: SweepSpec, baselines: Baselines = Ba
               progress=None):
     """Run every sweep point for every regime and model arm.
 
-    Returns (records grouped per point, summary rows).  Individual point
-    failures are re-raised after the sweep finishes so completed points
-    survive; `progress` (if given) is called with a status line per point.
+    Every point's ground truth of a regime is integrated in one batched call
+    before any arm runs.  Returns (records grouped per point, summary rows,
+    errors): a failed point or arm adds an error tuple and the sweep goes on,
+    so completed points survive; `progress` (if given) is called with a
+    status line per point.
     """
+    cache: dict = {}
+    for regime_name in manifest.regimes:
+        _integrate_ground_truths(manifest, regime_name, range(len(sweep.values)), cache)
     per_point = {}
     errors = []
     for idx, value in enumerate(sweep.values):
         point_baselines = baselines.with_param(sweep.parameter, value)
-        cache: dict = {}
         point_records = []
         for regime_name in manifest.regimes:
             for model_kind in models:
@@ -416,18 +440,24 @@ def run_sweep(manifest: RunManifest, sweep: SweepSpec, baselines: Baselines = Ba
 
 def run_grid_search(manifest: RunManifest, baselines: Baselines = Baselines(),
                     threads: int = 1, progress=None):
-    """Standard and hybrid arms at all 8 grid corners, per regime."""
+    """Standard and hybrid arms at all 8 grid corners, per regime.
+
+    As in `run_sweep`, every corner's ground truth of a regime is integrated
+    in one batched call first.
+    """
     for regime_name in manifest.regimes:
         if regime_name not in GRID_REGIMES:
             raise ValueError(
                 f"grid search regime {regime_name!r} not in {GRID_REGIMES} "
                 "(the asynchronous regime is excluded)"
             )
+    cache: dict = {}
+    for regime_name in manifest.regimes:
+        _integrate_ground_truths(manifest, regime_name, range(len(GRID_POINTS)), cache)
     per_point = {}
     errors = []
     for idx, point in enumerate(GRID_POINTS):
         point_baselines = point.apply(baselines)
-        cache: dict = {}
         point_records = []
         for regime_name in manifest.regimes:
             for model_kind in ("standard", "hybrid"):

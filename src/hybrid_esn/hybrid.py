@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import KuramotoParams, component_rhs, normalize_components, normalize_rows, rk4_step
+from .dynamics import (
+    KuramotoParams,
+    RowParams,
+    component_rhs,
+    normalize_components,
+    normalize_rows,
+    rk4_step,
+)
 from .reservoir import (
     Readout,
     ReservoirConfig,
@@ -67,22 +74,6 @@ class ExpertModel:
         Returns (rows, ok) as `normalize_rows` does.
         """
         return normalize_rows(self._integrate(u))
-
-
-@dataclass(frozen=True)
-class RowParams:
-    """Kuramoto parameters with one set per row of an (S, 2N) state batch.
-
-    `component_rhs` reads it like KuramotoParams: omega is (S, N) and the
-    coupling (S, 1).
-    """
-
-    omega: np.ndarray
-    coupling: np.ndarray
-
-    @property
-    def n_oscillators(self) -> int:
-        return self.omega.shape[-1]
 
 
 def stack_experts(experts, repeats: int) -> ExpertModel:

@@ -1,6 +1,6 @@
 import json
+import warnings
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -87,10 +87,12 @@ class TestGenerate:
 
     def test_numerical_blowup_exits_3(self, runner, tmp_path):
         # this seed draws a Cauchy-tail natural frequency that RK4 at 10
-        # substeps per sample cannot follow
+        # substeps per sample cannot follow; the one error line is all it
+        # prints (a numpy overflow warning would be raised here)
         cfg = write_config(tmp_path, task="residual_physics",
                            regimes=["heteroclinic_cycles"], master_seed=14317)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = runner.invoke(main, ["generate", "--config", str(cfg),
                                           "--regime", "heteroclinic_cycles",
                                           "--out", str(tmp_path / "x.csv")])
@@ -215,6 +217,18 @@ class TestSweepGridReport:
         assert ((out1 / "sigma_k_0.05.csv").read_bytes()
                 == (out8 / "sigma_k_0.05.csv").read_bytes())
         assert (out1 / "summary.csv").read_bytes() == (out8 / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("baselines, values", [
+        ({"size": 40, "regularization": -1}, [0.0]),
+        ({"size": 40}, [0.0, -0.1]),
+    ], ids=["baseline", "sweep_value"])
+    def test_out_of_range_baseline_exits_2(self, runner, tmp_path, baselines, values):
+        cfg = write_config(tmp_path, baselines=baselines,
+                           sweep={"parameter": "sigma_k", "values": values})
+        result = runner.invoke(main, ["sweep", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o")])
+        assert_one_line_error(result, 2, "must be")
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_without_sweep_section_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +25,10 @@ from hybrid_esn.dynamics import (
     rk4_step,
     sample_frequencies,
     simulate,
+    simulate_batch,
     standard_regime,
 )
+from hybrid_esn.experiments import SeedScheme
 from hybrid_esn.hybrid import RowParams
 
 RNG = np.random.default_rng(1234)
@@ -340,3 +345,60 @@ class TestTrajectories:
         f = lambda y: -y
         y1 = rk4_step(f, np.array([1.0]), 0.01)
         assert abs(y1[0] - np.exp(-0.01)) < 1e-11
+
+
+def sweep_draws(task, regime, master_seed, n):
+    """The ground-truth (params, theta0) of sweep indices 0..n-1, as a sweep draws them."""
+    scheme = SeedScheme(master_seed)
+    return [realize_regime(regime, scheme.stream(task, regime.name, 0, idx)) for idx in range(n)]
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("task, regime", [
+        ("parameter_error", standard_regime("synchrony")),
+        ("parameter_error", standard_regime("multi_frequency")),
+        ("residual_physics", biharmonic_regime("heteroclinic_cycles")),
+    ], ids=["synchrony", "multi_frequency", "heteroclinic_cycles"])
+    def test_rows_equal_per_record_simulate(self, task, regime):
+        draws = sweep_draws(task, regime, 3, 8)
+        cfg = IntegratorConfig()
+        records, failed = simulate_batch([p for p, _ in draws], [t for _, t in draws], cfg, 150)
+        assert records.shape == (8, 2 * regime.n_oscillators, 151)
+        np.testing.assert_array_equal(failed, 0)
+        for record, (params, theta0) in zip(records, draws):
+            np.testing.assert_array_equal(record, simulate(params, theta0, cfg, 150))
+
+    def test_single_record_equals_simulate(self):
+        params, theta0 = realize_regime(biharmonic_regime("synchrony"), 5)
+        records, failed = simulate_batch([params], [theta0], IntegratorConfig(), 60)
+        assert records.shape == (1, 20, 61) and failed.tolist() == [0]
+        np.testing.assert_array_equal(records[0], simulate(params, theta0, IntegratorConfig(), 60))
+
+    def test_blowup_fails_only_its_row(self):
+        # master seed 14317 draws |omega| = 486 rad/s at sweep index 0, which
+        # RK4 at 10 substeps per sample cannot follow: simulate raises at
+        # sample 1, the batch flags that row alone and prints nothing
+        regime = biharmonic_regime("heteroclinic_cycles")
+        draws = sweep_draws("residual_physics", regime, 14317, 4)
+        cfg = IntegratorConfig()
+        with pytest.raises(NumericalBlowup) as err:
+            simulate(*draws[0], cfg, 40)
+        assert err.value.step == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, failed = simulate_batch([p for p, _ in draws], [t for _, t in draws],
+                                             cfg, 40)
+        assert failed.tolist() == [1, 0, 0, 0]
+        for record, (params, theta0) in zip(records[1:], draws[1:]):
+            np.testing.assert_array_equal(record, simulate(params, theta0, cfg, 40))
+
+    def test_records_must_share_coupling_and_harmonics(self):
+        a = KuramotoParams(omega=np.zeros(2), coupling=1.0)
+        b = KuramotoParams(omega=np.ones(2), coupling=2.0)
+        with pytest.raises(ValueError):
+            simulate_batch([a, b], [np.zeros(2)] * 2, IntegratorConfig(), 5)
+        bi = BiHarmonicParams(base=a, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)
+        with pytest.raises(ValueError):
+            simulate_batch([bi, replace(bi, gamma1=1.5)], [np.zeros(2)] * 2, IntegratorConfig(), 5)
+        with pytest.raises(ValueError):
+            simulate_batch([a], [np.zeros(2)] * 2, IntegratorConfig(), 5)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hybrid_esn.dynamics import perturb_params, realize_regime, simulate
+from hybrid_esn import dynamics, experiments
+from hybrid_esn.dynamics import NumericalBlowup, perturb_params, realize_regime, simulate
 from hybrid_esn.evaluation import (
     ForecastResult,
     MetricRecord,
@@ -305,6 +306,50 @@ class TestSweepAndGrid:
             assert {r.param_name for r in recs} == {f"grid_{label}"}
             assert len(recs) == 2 * 1 * TINY.n_tests  # standard + hybrid
         assert len(summary) == 16
+
+    def test_ground_truth_one_batched_call_per_regime(self, monkeypatch):
+        batches = []
+
+        def counting_batch(params, theta0s, cfg, n_steps):
+            batches.append(len(params))
+            return dynamics.simulate_batch(params, theta0s, cfg, n_steps)
+
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(experiments, "simulate_batch", counting_batch)
+        monkeypatch.setattr(dynamics, "simulate", no_simulate)
+        man = tiny_manifest(regimes=("synchrony", "asynchrony"), n_realizations=2)
+        _, _, errors = run_sweep(man, SweepSpec("sigma_k", (0.0, 0.1, 0.2)),
+                                 tiny_baselines(), models=("ode",))
+        assert errors == []
+        assert batches == [3 * 2, 3 * 2]  # one call per regime: points x realizations
+        batches.clear()
+        man = tiny_manifest(task="residual_physics", regimes=("synchrony",),
+                            n_instantiations=1)
+        _, _, errors = run_grid_search(man, tiny_baselines())
+        assert errors == []
+        assert batches == [len(GRID_POINTS)]
+
+    def test_blowup_fails_only_its_point_once_per_arm(self):
+        # master seed 14317's sweep index 0 draws |omega| = 486 rad/s, which
+        # blows up at sample 1; index 1 integrates fine in the same batch
+        man = tiny_manifest(task="residual_physics", regimes=("heteroclinic_cycles",),
+                            master_seed=14317)
+        sweep = SweepSpec("regularization", (1e-6, 1e-4))
+        models = ("standard", "hybrid", "ode")
+        per_point, _, errors = run_sweep(man, sweep, tiny_baselines(), models=models)
+        assert [err[:4] for err in errors] == [
+            ("regularization", 1e-6, "heteroclinic_cycles", model) for model in models]
+        for err in errors:
+            assert isinstance(err[4], NumericalBlowup) and err[4].step == 1
+        assert per_point[1e-6] == []
+        direct = []
+        for model in models:
+            direct.extend(run_shared_procedure(
+                man, model, tiny_baselines(regularization=1e-4), "heteroclinic_cycles",
+                sweep_name="regularization", sweep_value=1e-4, sweep_index=1))
+        assert per_point[1e-4] == direct
 
     def test_run_log_round_trips(self, tmp_path):
         man = tiny_manifest()
