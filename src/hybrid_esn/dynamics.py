@@ -367,6 +367,8 @@ def integrate_step(state, params, cfg: IntegratorConfig, duration: float) -> np.
     """Integrate the component-form ODE for `duration` seconds.
 
     The duration must be a whole number of substeps (cfg.dt / cfg.substeps).
+    A non-finite state raises NumericalBlowup with the 1-based number of the
+    substep that produced it.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -379,7 +381,7 @@ def integrate_step(state, params, cfg: IntegratorConfig, duration: float) -> np.
     for i in range(n):
         y = rk4_step(f, y, h)
         if not np.all(np.isfinite(y)):
-            raise NumericalBlowup(i)
+            raise NumericalBlowup(i + 1)
     return y
 
 

@@ -30,6 +30,8 @@ from .evaluation import MetricRecord, SpanLayout, segment, span_metrics
 from .hybrid import ExpertModel, stack_experts
 from .reservoir import (
     ReservoirConfig,
+    ReservoirMatrices,
+    build_input_matrix,
     build_matrices,
     collect_states,
     forecast_columns,
@@ -237,15 +239,32 @@ def _perturbed_expert(manifest, baselines, scheme, base_params, role, ctx) -> Ex
     return ExpertModel(params=perturbed, dt=manifest.layout.dt)
 
 
-def _train_instantiation(manifest, model_kind, baselines, scheme, training, base_params, ctx):
+def _instantiation_matrices(cfg, d_u, hybrid, scheme, ctx, cache) -> ReservoirMatrices:
+    """(A, B) of one instantiation; A is built once per run and shared by the RC arms.
+
+    A's stream is keyed by instantiation, not arm, so the first arm builds
+    both matrices and leaves A in `cache` under its stream context and the
+    settings it depends on; a later arm draws only its own B.  A build that
+    raises leaves nothing behind, so every arm raises in turn.
+    """
+    key = ("internal", scheme.master, *ctx.values(), cfg.size, cfg.mean_degree,
+           cfg.spectral_radius)
+    input_seed = scheme.stream(role="input", **ctx)
+    if key in cache:
+        return ReservoirMatrices(internal=cache[key], input=build_input_matrix(
+            cfg, 2 * d_u if hybrid else d_u, hybrid, input_seed))
+    matrices = build_matrices(cfg, d_u, hybrid, scheme.stream(role="internal", **ctx),
+                              input_seed)
+    cache[key] = matrices.internal
+    return matrices
+
+
+def _train_instantiation(manifest, model_kind, baselines, scheme, training, base_params,
+                         cache, ctx):
     """Matrices, trained readout and (hybrid) expert of one RC instantiation."""
     cfg = baselines.reservoir_config()
     hybrid = model_kind == "hybrid"
-    matrices = build_matrices(
-        cfg, training.shape[0], hybrid,
-        internal_seed=scheme.stream(role="internal", **ctx),
-        input_seed=scheme.stream(role="input", **ctx),
-    )
+    matrices = _instantiation_matrices(cfg, training.shape[0], hybrid, scheme, ctx, cache)
     expert = (_perturbed_expert(manifest, baselines, scheme, base_params, "expert_error", ctx)
               if hybrid else None)
     history, targets = collect_states(training, matrices, cfg, expert=expert)
@@ -320,7 +339,9 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
     every realization in one batched call, unless `ground_truth_cache`
     holds it), segment it, train every instantiation on the training span,
     and forecast all test spans.  Failed forecasts are scored with
-    worst-case padding, never dropped.
+    worst-case padding, never dropped.  The cache also carries each
+    instantiation's internal matrix A from one RC arm to the next; pool
+    threads train distinct instantiations, so they never share a key.
     """
     if model_kind not in ("standard", "hybrid", "ode"):
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -345,7 +366,7 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
                                                       "ode_error", ctx)) for ctx in contexts]
         else:
             train = partial(_train_instantiation, manifest, model_kind, baselines, scheme,
-                            training, base_params)
+                            training, base_params, cache)
             if threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     members = list(pool.map(train, contexts))
@@ -406,10 +427,11 @@ def run_sweep(manifest: RunManifest, sweep: SweepSpec, baselines: Baselines = Ba
     """Run every sweep point for every regime and model arm.
 
     Every point's ground truth of a regime is integrated in one batched call
-    before any arm runs.  Returns (records grouped per point, summary rows,
-    errors): a failed point or arm adds an error tuple and the sweep goes on,
-    so completed points survive; `progress` (if given) is called with a
-    status line per point.
+    before any arm runs, and the RC arms of a point share each
+    instantiation's internal matrix.  Returns (records grouped per point,
+    summary rows, errors): a failed point or arm adds an error tuple and the
+    sweep goes on, so completed points survive; `progress` (if given) is
+    called with a status line per point.
     """
     cache: dict = {}
     for regime_name in manifest.regimes:
@@ -443,7 +465,8 @@ def run_grid_search(manifest: RunManifest, baselines: Baselines = Baselines(),
     """Standard and hybrid arms at all 8 grid corners, per regime.
 
     As in `run_sweep`, every corner's ground truth of a regime is integrated
-    in one batched call first.
+    in one batched call first, and the two arms of a corner share each
+    instantiation's internal matrix.
     """
     for regime_name in manifest.regimes:
         if regime_name not in GRID_REGIMES:

@@ -59,7 +59,9 @@ class ExpertModel:
     def _integrate(self, u) -> np.ndarray:
         u = np.asarray(u, float)
         self.calls += u.size // u.shape[-1]
-        return rk4_step(lambda v: component_rhs(v, self.params), u, self.dt)
+        # an overflowing expert is flagged by the callers, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rk4_step(lambda v: component_rhs(v, self.params), u, self.dt)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """Single RK4 step of size dt, renormalized to the unit circle."""

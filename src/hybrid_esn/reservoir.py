@@ -157,6 +157,38 @@ def spectral_radius_of(a) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(dense))))
 
 
+# Elements per row block of the internal matrix draw (8 MB of doubles).
+_DRAW_BLOCK = 1 << 20
+
+
+def _draw_internal(rng, n: int, p: float) -> scipy.sparse.csr_matrix:
+    """One Erdos-Renyi draw: the n x n mask first, then the n x n weights.
+
+    Both are drawn in row blocks of about _DRAW_BLOCK elements and only the
+    masked entries are kept, so no n x n array is ever held.  The stream is
+    consumed as by whole-matrix draws, and the CSR arrays are byte-identical
+    to `csr_matrix(np.where(mask, weights, 0.0))`.
+    """
+    rows = max(1, _DRAW_BLOCK // n)
+    starts = range(0, n, rows)
+    buf = np.empty(rows * n)
+    picked = []
+    for r0 in starts:
+        block = buf[:min(rows, n - r0) * n]
+        rng.random(out=block)
+        picked.append(np.flatnonzero(block < p))
+    flat, data = [], []
+    for r0, idx in zip(starts, picked):
+        data.append(rng.uniform(-1.0, 1.0, min(rows, n - r0) * n)[idx])
+        flat.append(idx + r0 * n)
+    data, flat = np.concatenate(data), np.concatenate(flat)
+    keep = data != 0.0  # a masked entry whose weight is exactly zero is not stored
+    row, col = np.divmod(flat[keep], n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return scipy.sparse.csr_matrix((data[keep], col.astype(np.int32), indptr), shape=(n, n))
+
+
 def build_internal_matrix(cfg: ReservoirConfig, seed) -> scipy.sparse.csr_matrix:
     """Erdos-Renyi internal matrix A, rescaled to the target spectral radius.
 
@@ -166,14 +198,12 @@ def build_internal_matrix(cfg: ReservoirConfig, seed) -> scipy.sparse.csr_matrix
     """
     rng = np.random.default_rng(seed)
     n = cfg.size
-    p = cfg.mean_degree / n
     for _ in range(16):
-        mask = rng.random((n, n)) < p
-        weights = rng.uniform(-1.0, 1.0, (n, n))
-        a = scipy.sparse.csr_matrix(np.where(mask, weights, 0.0))
+        a = _draw_internal(rng, n, cfg.mean_degree / n)
         rho = spectral_radius_of(a)
         if rho > 0:
-            return a * (cfg.spectral_radius / rho)
+            a.data *= cfg.spectral_radius / rho
+            return a
     raise RuntimeError(
         "could not sample an internal matrix with non-zero spectral radius "
         "after 16 attempts; increase mean_degree or size"
@@ -257,8 +287,8 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, cfg: ReservoirCon
 def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
     """Closed-form ridge regression: C = Y Phi^T (Phi Phi^T + beta I)^-1.
 
-    Solved through a symmetric positive-definite factorization; no explicit
-    inverse is formed.
+    Solved through a symmetric positive-definite factorization of the Gram
+    matrix, in place; no explicit inverse and no second Gram matrix is formed.
     """
     if beta < 0:
         raise ValueError("regularization must be >= 0")
@@ -267,9 +297,15 @@ def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
     if phi.shape[1] != y.shape[1]:
         raise ValueError("history and targets disagree on sample count")
     gram = phi @ phi.T
+    # Factor in place: cho_factor reads the upper triangle of the Fortran
+    # array gram.T, i.e. gram's lower triangle, so mirror the upper one onto
+    # it first; the factored matrix is then exactly the upper triangle of
+    # phi @ phi.T, as a copying cho_factor(gram) would factor.
+    for i in range(1, gram.shape[0]):
+        gram[i, :i] = gram[:i, i]
     gram[np.diag_indices_from(gram)] += beta
     try:
-        factor = scipy.linalg.cho_factor(gram)
+        factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
         c = scipy.linalg.cho_solve(factor, phi @ y.T).T
     except scipy.linalg.LinAlgError as exc:
         raise ReadoutTrainingError(

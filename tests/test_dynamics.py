@@ -196,6 +196,13 @@ class TestIntegrateStep:
         with pytest.raises(ValueError):
             integrate_step(np.array([1.0, 0.0]), params, IntegratorConfig(), 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_reports_one_based_substep(self):
+        bad = KuramotoParams(omega=np.array([1e200]), coupling=0.0)
+        with pytest.raises(NumericalBlowup) as err:
+            integrate_step(np.array([1.0, 0.0]), bad, IntegratorConfig(), 0.1)
+        assert err.value.step == 1
+
     def test_fourth_order_convergence(self):
         # Richardson oracle: halving the step shrinks error ~16x vs a fine reference
         rng = np.random.default_rng(21)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hybrid_esn import dynamics, experiments
+from hybrid_esn import dynamics, experiments, reservoir
 from hybrid_esn.dynamics import NumericalBlowup, perturb_params, realize_regime, simulate
 from hybrid_esn.evaluation import (
     ForecastResult,
@@ -146,13 +146,16 @@ class TestSharedProcedure:
     def test_ground_truth_cache_shared_across_arms(self):
         man = tiny_manifest()
         cache: dict = {}
+        key = (man.task, "synchrony", 0, 0)
         run_shared_procedure(man, "standard", tiny_baselines(), "synchrony",
                              ground_truth_cache=cache)
-        (record1, params1), = cache.values()
+        record1, params1 = cache[key]
         run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony",
                              ground_truth_cache=cache)
-        (record2, params2), = cache.values()
+        record2, params2 = cache[key]
         assert record1 is record2 and params1 is params2
+        # beside the one ground truth, one internal matrix per instantiation
+        assert len(cache) == 1 + man.n_instantiations
 
     def test_determinism_across_calls(self):
         man = tiny_manifest()
@@ -360,3 +363,64 @@ class TestSweepAndGrid:
         assert payload["master_seed"] == 0
         assert payload["layout"]["test"] == TINY.test
         assert payload["n_records"] == 8
+
+
+def count_internal_builds(monkeypatch, fail_at=None):
+    """Count build_internal_matrix calls; raise for the (sweep index, instantiation) `fail_at`."""
+    calls = []
+    real = reservoir.build_internal_matrix
+
+    def counting(cfg, seed):
+        entropy = seed.bit_generator.seed_seq.entropy
+        calls.append(tuple(entropy))
+        if fail_at is not None and tuple(entropy[4:6]) == fail_at:
+            raise RuntimeError("internal matrix build failed")
+        return real(cfg, seed)
+
+    monkeypatch.setattr(reservoir, "build_internal_matrix", counting)
+    return calls
+
+
+class TestSharedInternalMatrix:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_builds_once_per_instantiation(self, monkeypatch, threads):
+        man = tiny_manifest(n_instantiations=2)
+        sweep = SweepSpec("size", (40, 50))
+        calls = count_internal_builds(monkeypatch)
+        per_point, _, errors = run_sweep(man, sweep, tiny_baselines(),
+                                         models=("standard", "hybrid"), threads=threads)
+        assert errors == []
+        # 2 points x 1 regime x 1 realization x 2 instantiations
+        assert len(calls) == len(set(calls)) == 4
+        for idx, value in enumerate(sweep.values):
+            point = tiny_baselines().with_param("size", value)
+            direct = [r for model in ("standard", "hybrid") for r in run_shared_procedure(
+                man, model, point, "synchrony", sweep_name="size", sweep_value=value,
+                sweep_index=idx, threads=threads)]
+            assert repr(per_point[value]) == repr(direct)
+
+    def test_grid_builds_once_per_instantiation(self, monkeypatch):
+        man = tiny_manifest(n_instantiations=1)
+        calls = count_internal_builds(monkeypatch)
+        per_point, _, errors = run_grid_search(man, tiny_baselines())
+        assert errors == []
+        assert len(calls) == len(set(calls)) == len(GRID_POINTS)
+        for idx, point in enumerate(GRID_POINTS):
+            direct = [r for model in ("standard", "hybrid") for r in run_shared_procedure(
+                man, model, point.apply(tiny_baselines()), "synchrony",
+                sweep_name=f"grid_{point.label}", sweep_value=float(idx), sweep_index=idx)]
+            assert repr(per_point[point.label]) == repr(direct)
+
+    def test_failed_build_fails_each_rc_arm_of_its_point(self, monkeypatch):
+        man = tiny_manifest(n_instantiations=2)
+        sweep = SweepSpec("spectral_radius", (0.3, 0.4))
+        calls = count_internal_builds(monkeypatch, fail_at=(1, 1))
+        per_point, _, errors = run_sweep(man, sweep, tiny_baselines(),
+                                         models=("standard", "hybrid", "ode"))
+        assert [err[:4] for err in errors] == [("spectral_radius", 0.4, "synchrony", model)
+                                               for model in ("standard", "hybrid")]
+        assert all(isinstance(err[4], RuntimeError) for err in errors)
+        # a failed build is not cached: each RC arm tries it again
+        assert sum(c[4:6] == (1, 1) for c in calls) == 2
+        assert {r.model for r in per_point[0.4]} == {"ode"}
+        assert len(per_point[0.3]) == 3 * 2 * TINY.n_tests

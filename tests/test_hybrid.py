@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from hybrid_esn.dynamics import (
 from hybrid_esn.hybrid import (
     ExpertModel,
     HybridReservoir,
+    stack_experts,
     expert_step,
     hybrid_features,
     hybrid_forecast,
@@ -75,6 +78,16 @@ class TestExpertModel:
         for _ in range(7):
             expert.step(u)
         assert expert.calls == 7
+
+    def test_overflow_flagged_without_warnings(self):
+        expert = ExpertModel(KuramotoParams(omega=np.full(5, 1e300), coupling=1.0))
+        u = phases_to_components(np.linspace(0.0, 1.0, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, ok = stack_experts([expert], 2).step_rows(np.stack([u, u]))
+            np.testing.assert_array_equal(ok, [False, False])
+            with pytest.raises(FloatingPointError):
+                expert.step(u)
 
     def test_output_unit_circle(self):
         rng = np.random.default_rng(4)

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from hybrid_esn import reservoir
 from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
@@ -95,6 +99,65 @@ class TestInternalMatrix:
         a = build_internal_matrix(cfg, 5)
         b = build_internal_matrix(cfg, 5)
         assert (a != b).nnz == 0
+
+
+def plain_internal_matrix(cfg, seed):
+    """The whole-matrix draw that the row-blocked build replaces."""
+    rng = np.random.default_rng(seed)
+    n = cfg.size
+    p = cfg.mean_degree / n
+    for _ in range(16):
+        mask = rng.random((n, n)) < p
+        weights = rng.uniform(-1.0, 1.0, (n, n))
+        a = scipy.sparse.csr_matrix(np.where(mask, weights, 0.0))
+        rho = spectral_radius_of(a)
+        if rho > 0:
+            return a * (cfg.spectral_radius / rho)
+    raise AssertionError("no draw with a non-zero spectral radius")
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestRowBlockedDraw:
+    # 1500 and 2100 are not multiples of the row block (699 and 499 rows);
+    # 2100 also takes its radius from ARPACK
+    @pytest.mark.parametrize("size,seed", [(1, 0), (2, 1), (7, 2), (50, 3), (300, 4),
+                                           (1000, 5), (1500, 6), (2100, 7)])
+    def test_csr_equals_plain_draw(self, size, seed):
+        cfg = ReservoirConfig(size=size, mean_degree=min(3.0, size))
+        assert_same_csr(build_internal_matrix(cfg, seed), plain_internal_matrix(cfg, seed))
+
+    @pytest.mark.parametrize("block", [1, 7 * 50 + 3, 50 * 50])
+    def test_many_small_blocks(self, monkeypatch, block):
+        # one row per block, 7 rows with a 1-row remainder, one whole block
+        monkeypatch.setattr(reservoir, "_DRAW_BLOCK", block)
+        cfg = ReservoirConfig(size=50)
+        for seed in range(5):
+            assert_same_csr(build_internal_matrix(cfg, seed), plain_internal_matrix(cfg, seed))
+
+    def test_empty_first_draw_resampled(self):
+        # one possible edge present with probability 1/2: seed 1's first draw
+        # is empty, so the build resamples from the same stream
+        cfg = ReservoirConfig(size=1, mean_degree=0.5)
+        assert np.random.default_rng(1).random() >= 0.5
+        a = build_internal_matrix(cfg, 1)
+        assert a.nnz == 1 and abs(abs(a.data[0]) - cfg.spectral_radius) < 1e-15
+        assert_same_csr(a, plain_internal_matrix(cfg, 1))
+
+    def test_peak_memory_bounded(self):
+        # the whole-matrix draw peaks at about 150 MB at this size
+        tracemalloc.start()
+        try:
+            build_internal_matrix(ReservoirConfig(size=3000), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestInputMatrix:
@@ -231,6 +294,54 @@ class TestRidgeReadout:
         norms = [np.linalg.norm(train_readout(StateHistory(features=phi), y, b).weights)
                  for b in (1e-8, 1e-4, 1e-2, 1.0, 100.0)]
         assert all(n2 <= n1 + 1e-12 for n1, n2 in zip(norms, norms[1:]))
+
+
+def copying_ridge(phi, y, beta):
+    """Ridge readout through a copying cho_factor, as the fit did before it factored in place."""
+    gram = phi @ phi.T
+    gram[np.diag_indices_from(gram)] += beta
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), phi @ y.T).T
+
+
+class TestRidgeInPlace:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_equals_copying_factorization(self, layout):
+        rng = np.random.default_rng(30)
+        base = rng.normal(size=(120, 900))
+        phi = {"C": base[:60, :300].copy(), "F": np.asfortranarray(base[:60, :300]),
+               "strided": base[::2, ::3]}[layout]
+        y = rng.normal(size=(10, 300))
+        for beta in (0.0, 1e-6, 1e-1):
+            got = train_readout(StateHistory(features=phi), y, beta).weights
+            assert np.array_equal(got, copying_ridge(phi, y, beta)), beta
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        rng = np.random.default_rng(32)
+        phi = rng.normal(size=(6, 40))
+        phi[2, 5] = bad
+        with pytest.raises(ValueError):
+            train_readout(StateHistory(features=phi), rng.normal(size=(2, 40)), 1e-6)
+
+    def test_features_not_modified(self):
+        rng = np.random.default_rng(33)
+        phi, y = rng.normal(size=(20, 80)), rng.normal(size=(3, 80))
+        phi0, y0 = phi.copy(), y.copy()
+        train_readout(StateHistory(features=phi), y, 1e-3)
+        np.testing.assert_array_equal(phi, phi0)
+        np.testing.assert_array_equal(y, y0)
+
+    def test_peak_memory_one_gram_matrix(self):
+        # 3010 features: the Gram matrix is 72 MB; a copying fit peaks at about 155 MB
+        rng = np.random.default_rng(34)
+        phi, y = rng.normal(size=(3010, 1000)), rng.normal(size=(10, 1000))
+        tracemalloc.start()
+        try:
+            train_readout(StateHistory(features=phi), y, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 @pytest.fixture(scope="module")
@@ -473,13 +584,11 @@ class TestLockstepForecast:
         def keep(k, u_hat):
             preds[k] = u_hat
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            aborts = forecast_columns(warm, HORIZON, keep, None,
-                                      stack_experts(experts, N_SPANS))
-            for c in range(warm.shape[1]):
-                want = reference_expert_forecast(starts[c % N_SPANS][:, 0], HORIZON,
-                                                 experts[c // N_SPANS])
-                assert aborts[c] == want.shape[1]
-                np.testing.assert_array_equal(preds[:aborts[c], c].T, want)
+        aborts = forecast_columns(warm, HORIZON, keep, None, stack_experts(experts, N_SPANS))
+        for c in range(warm.shape[1]):
+            want = reference_expert_forecast(starts[c % N_SPANS][:, 0], HORIZON,
+                                             experts[c // N_SPANS])
+            assert aborts[c] == want.shape[1]
+            np.testing.assert_array_equal(preds[:aborts[c], c].T, want)
         np.testing.assert_array_equal(aborts[-N_SPANS:], 0)
         assert np.all(aborts[:-N_SPANS] == HORIZON)
