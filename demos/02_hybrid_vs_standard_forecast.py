@@ -43,9 +43,9 @@ for kind in ("standard", "hybrid"):
     if hybrid:
         wrong = perturb_params(params, 0.05, 0.05, seed=5)
         expert = ExpertModel(params=wrong)
-    history, targets = collect_states(training, m, cfg, expert=expert)
+    history, targets = collect_states(training, m, expert=expert)
     readout = train_readout(history, targets, cfg.regularization)
-    preds = forecast(warmup, test.shape[1], m, readout, cfg, expert=expert)
+    preds = forecast(warmup, test.shape[1], m, readout, expert=expert)
     fr = ForecastResult(prediction=preds, truth=test, dt=0.1)
     print(f"{kind:8s}  mean NMSE = {mean_nmse(fr):8.5f}   "
           f"valid time = {valid_time(fr):6.1f} s of {test.shape[1] * 0.1:.0f} s")

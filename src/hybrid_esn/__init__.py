@@ -39,7 +39,7 @@ from .experiments import (
     run_shared_procedure,
     run_sweep,
 )
-from .hybrid import ExpertModel, HybridReservoir, hybrid_features, hybrid_input
+from .hybrid import ExpertModel, Instantiation
 from .reservoir import (
     Readout,
     ReservoirConfig,

@@ -13,30 +13,21 @@ from collections import defaultdict
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import io as hio
 from .config import ConfigError, load_config
-from .dynamics import NumericalBlowup, realize_regime, simulate, BiHarmonicParams, perturb_params
+from .dynamics import NumericalBlowup, realize_regime, simulate, BiHarmonicParams
 from .evaluation import ForecastResult, mean_nmse, segment, valid_time
 from .experiments import (
     SeedScheme,
     aggregate_report,
     regime_spec,
     run_grid_search,
-    run_shared_procedure,
     run_sweep,
+    train_instantiation,
+    write_run_log,
 )
-from .hybrid import ExpertModel
-from .reservoir import (
-    CollectionError,
-    ForecastAbort,
-    ReadoutTrainingError,
-    build_matrices,
-    collect_states,
-    forecast as rc_forecast,
-    train_readout,
-)
+from .reservoir import CollectionError, ForecastAbort, ReadoutTrainingError, forecast as rc_forecast
 from .report import render_sweep_svg, write_summary_csv
 
 
@@ -51,6 +42,14 @@ def _load(config_path):
 def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _ground_truth(cfg, regime):
+    """(params, theta0, record) of the regime's realization 0 under the config's seed."""
+    spec = regime_spec(cfg.task, regime)  # raises ValueError on an unknown regime
+    rng = SeedScheme(cfg.master_seed).stream(cfg.task, regime, 0, 0, 0, "ground_truth")
+    params, theta0 = realize_regime(spec, rng)
+    return params, theta0, simulate(params, theta0, cfg.integrator, cfg.layout.total_steps)
 
 
 @click.group()
@@ -69,17 +68,13 @@ def generate(config_path, regime, seed, out_path):
     if seed is not None:
         cfg = type(cfg)(**{**cfg.__dict__, "master_seed": seed})
     try:
-        spec = regime_spec(cfg.task, regime)
+        params, theta0, trajectory = _ground_truth(cfg, regime)
     except ValueError as exc:
         _fail(str(exc))
-    scheme = SeedScheme(cfg.master_seed)
-    rng = scheme.stream(cfg.task, regime, 0, 0, 0, "ground_truth")
-    params, theta0 = realize_regime(spec, rng)
-    try:
-        trajectory = simulate(params, theta0, cfg.integrator, cfg.layout.total_steps)
-        hio.write_trajectory_csv(out_path, trajectory, cfg.layout.dt)
     except NumericalBlowup as exc:
         _fail(str(exc), 3)
+    try:
+        hio.write_trajectory_csv(out_path, trajectory, cfg.layout.dt)
     except OSError as exc:
         _fail(f"cannot write {out_path}: {exc}")
     base = params.base if isinstance(params, BiHarmonicParams) else params
@@ -101,46 +96,25 @@ def generate(config_path, regime, seed, out_path):
     click.echo(f"wrote {out_path} ({cfg.layout.total_steps + 1} samples) and {meta_path}")
 
 
-def _train_one(cfg, regime, model_kind, instantiation=0):
-    """Ground truth, matrices, readout, and spans for one instantiation.
+def _train_one(cfg, regime, model_kind):
+    """Instantiation 0 of the regime's realization 0, trained by the experiments' builder.
 
-    Exits 2 on a bad regime, model or regularization and 3 when the ground
-    truth or the training run fails.
+    Returns (model, test spans).  Exits 2 on a bad regime, model or
+    regularization and 3 when the ground truth or the training run fails.
     """
+    if model_kind not in ("standard", "hybrid"):
+        _fail(f"unknown model {model_kind!r}; valid: standard, hybrid")
     try:
-        return _train(cfg, regime, model_kind, instantiation)
+        params, _, record = _ground_truth(cfg, regime)
+        training, spans = segment(record, cfg.layout)
+        ctx = dict(task=cfg.task, regime=regime, realization=0, sweep_index=0, instantiation=0)
+        model = train_instantiation(cfg.manifest(), model_kind, cfg.baselines,
+                                    SeedScheme(cfg.master_seed), training, params, {}, ctx)
     except (ValueError, ReadoutTrainingError) as exc:
         _fail(str(exc))
     except (NumericalBlowup, CollectionError, FloatingPointError) as exc:
         _fail(str(exc), 3)
-
-
-def _train(cfg, regime, model_kind, instantiation):
-    if model_kind not in ("standard", "hybrid"):
-        _fail(f"unknown model {model_kind!r}; valid: standard, hybrid")
-    spec = regime_spec(cfg.task, regime)
-    scheme = SeedScheme(cfg.master_seed)
-    rng = scheme.stream(cfg.task, regime, 0, 0, 0, "ground_truth")
-    params, theta0 = realize_regime(spec, rng)
-    record = simulate(params, theta0, cfg.integrator, cfg.layout.total_steps)
-    training, spans = segment(record, cfg.layout)
-    rcfg = cfg.baselines.reservoir_config()
-    hybrid = model_kind == "hybrid"
-    d_u = training.shape[0]
-    ctx = dict(task=cfg.task, regime=regime, realization=0, sweep_index=0,
-               instantiation=instantiation)
-    matrices = build_matrices(rcfg, d_u, hybrid,
-                              internal_seed=scheme.stream(role="internal", **ctx),
-                              input_seed=scheme.stream(role="input", **ctx))
-    expert = None
-    if hybrid:
-        base = params.base if isinstance(params, BiHarmonicParams) else params
-        perturbed = perturb_params(base, cfg.baselines.sigma_k, cfg.baselines.sigma_omega,
-                                   scheme.stream(role="expert_error", **ctx))
-        expert = ExpertModel(params=perturbed, dt=cfg.layout.dt)
-    history, targets = collect_states(training, matrices, rcfg, expert=expert)
-    readout = train_readout(history, targets, rcfg.regularization)
-    return rcfg, matrices, readout, expert, spans
+    return model, spans
 
 
 @main.command()
@@ -151,9 +125,9 @@ def _train(cfg, regime, model_kind, instantiation):
 def train(config_path, regime, model_kind, out_path):
     """Train one reservoir instantiation and save the (A, B, C) model dump."""
     cfg = _load(config_path)
-    _, matrices, readout, expert, _ = _train_one(cfg, regime, model_kind)
+    model, _ = _train_one(cfg, regime, model_kind)
     try:
-        hio.save_model(out_path, matrices, readout, expert)
+        hio.save_model(out_path, model)
     except OSError as exc:
         _fail(f"cannot write {out_path}: {exc}")
     click.echo(f"wrote model dump {out_path}")
@@ -168,12 +142,13 @@ def train(config_path, regime, model_kind, out_path):
 def forecast_cmd(config_path, regime, model_kind, span, out_path):
     """Train one instantiation, forecast one test span, and report metrics."""
     cfg = _load(config_path)
-    rcfg, matrices, readout, expert, spans = _train_one(cfg, regime, model_kind)
+    model, spans = _train_one(cfg, regime, model_kind)
     if not (0 <= span < len(spans)):
         _fail(f"span must be in [0, {len(spans) - 1}]")
     warmup, test = spans[span]
     try:
-        preds = rc_forecast(warmup, test.shape[1], matrices, readout, rcfg, expert=expert)
+        preds = rc_forecast(warmup, test.shape[1], model.matrices, model.readout,
+                            expert=model.expert)
     except (ForecastAbort, FloatingPointError, ValueError) as exc:
         _fail(str(exc), 3)
     try:
@@ -191,7 +166,6 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
     manifest = cfg.manifest()
     progress = lambda line: click.echo(line)
     if grid:
-        regimes = cfg.regimes if cfg.regimes else ()
         per_point, summary, errors = run_grid_search(
             manifest, cfg.baselines, threads=threads, progress=progress)
         name = lambda key: f"grid_{key}.csv"
@@ -207,7 +181,6 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
             hio.write_metric_csv(out / name(key), records)
     if summary:
         write_summary_csv(out / "summary.csv", summary)
-    from .experiments import write_run_log
     write_run_log(out / "run_log.json", manifest,
                   extra={"threads": threads, "mode": "grid" if grid else "sweep"})
     if errors:

@@ -27,7 +27,7 @@ from .dynamics import (
     simulate_batch,
 )
 from .evaluation import MetricRecord, SpanLayout, segment, span_metrics
-from .hybrid import ExpertModel, stack_experts
+from .hybrid import ExpertModel, Instantiation, stack_experts
 from .reservoir import (
     ReservoirConfig,
     ReservoirMatrices,
@@ -48,6 +48,7 @@ __all__ = [
     "RunManifest",
     "SummaryRow",
     "regime_spec",
+    "train_instantiation",
     "run_shared_procedure",
     "run_sweep",
     "run_grid_search",
@@ -259,30 +260,31 @@ def _instantiation_matrices(cfg, d_u, hybrid, scheme, ctx, cache) -> ReservoirMa
     return matrices
 
 
-def _train_instantiation(manifest, model_kind, baselines, scheme, training, base_params,
-                         cache, ctx):
-    """Matrices, trained readout and (hybrid) expert of one RC instantiation."""
+def train_instantiation(manifest, model_kind, baselines, scheme, training, base_params,
+                        cache, ctx) -> Instantiation:
+    """One trained RC instantiation: the streams of `ctx`, a readout fit on `training`.
+
+    `cache` carries A from one arm of a run to the next; a fresh dict builds all.
+    """
     cfg = baselines.reservoir_config()
     hybrid = model_kind == "hybrid"
     matrices = _instantiation_matrices(cfg, training.shape[0], hybrid, scheme, ctx, cache)
     expert = (_perturbed_expert(manifest, baselines, scheme, base_params, "expert_error", ctx)
               if hybrid else None)
-    history, targets = collect_states(training, matrices, cfg, expert=expert)
-    readout = train_readout(history, targets, cfg.regularization)
-    return matrices, readout, expert
+    history, targets = collect_states(training, matrices, expert=expert)
+    return Instantiation(matrices, train_readout(history, targets, cfg.regularization), expert)
 
 
 def _forecast_records(manifest, model_kind, regime_name, spans, realization,
                       sweep_name, sweep_value, members):
     """Forecast every (instantiation, span) column of one arm in lock step and score it.
 
-    `members` holds each instantiation's (matrices, readout, expert), or
-    (None, None, expert) for the bare ODE.  Only the per-step error norms are
-    kept, not the predictions.
+    `members` holds each instantiation's `Instantiation`.  Only the per-step
+    error norms are kept, not the predictions.
     """
     n_inst, n_spans = len(members), len(spans)
     n_cols = n_inst * n_spans
-    experts = [expert for _, _, expert in members]
+    experts = [m.expert for m in members]
     expert = stack_experts(experts, n_spans) if experts[0] is not None else None
     if model_kind == "ode":
         # No warm-up: the ODE's state is pinned to the first test sample and
@@ -293,7 +295,7 @@ def _forecast_records(manifest, model_kind, regime_name, spans, realization,
     else:
         truths = [test for _, test in spans]
         warmups = np.stack([warmup.T for warmup, _ in spans], axis=1)
-        stack = stack_reservoirs([m for m, _, _ in members], [r for _, r, _ in members],
+        stack = stack_reservoirs([m.matrices for m in members], [m.readout for m in members],
                                  n_spans)
     warmups = np.tile(warmups, (1, n_inst, 1))
     truth_steps = np.stack(truths).transpose(2, 1, 0).copy()  # (H, D_u, n_spans)
@@ -362,10 +364,10 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
                          sweep_index=sweep_index, instantiation=inst)
                     for inst in range(manifest.n_instantiations)]
         if model_kind == "ode":
-            members = [(None, None, _perturbed_expert(manifest, baselines, scheme, base_params,
-                                                      "ode_error", ctx)) for ctx in contexts]
+            members = [Instantiation(expert=_perturbed_expert(
+                manifest, baselines, scheme, base_params, "ode_error", ctx)) for ctx in contexts]
         else:
-            train = partial(_train_instantiation, manifest, model_kind, baselines, scheme,
+            train = partial(train_instantiation, manifest, model_kind, baselines, scheme,
                             training, base_params, cache)
             if threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:

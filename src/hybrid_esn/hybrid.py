@@ -4,7 +4,7 @@ The expert produces a one-RK4-step next-state prediction u_tilde from the
 current state.  That prediction is concatenated ahead of the state on the
 way into the reservoir, and ahead of the transformed reservoir state on
 the way into the readout, so the trained C can weigh the physics-based
-prediction directly.
+prediction directly.  An `Instantiation` is one trained model of any arm.
 """
 
 from __future__ import annotations
@@ -21,27 +21,9 @@ from .dynamics import (
     normalize_rows,
     rk4_step,
 )
-from .reservoir import (
-    Readout,
-    ReservoirConfig,
-    ReservoirMatrices,
-    collect_states,
-    forecast,
-    nonlinear_transform,
-    train_readout,
-)
+from .reservoir import Readout, ReservoirMatrices
 
-__all__ = [
-    "ExpertModel",
-    "RowParams",
-    "stack_experts",
-    "HybridReservoir",
-    "expert_step",
-    "hybrid_input",
-    "hybrid_features",
-    "hybrid_train",
-    "hybrid_forecast",
-]
+__all__ = ["ExpertModel", "RowParams", "stack_experts", "Instantiation"]
 
 
 @dataclass
@@ -93,46 +75,31 @@ def stack_experts(experts, repeats: int) -> ExpertModel:
 
 
 @dataclass(frozen=True)
-class HybridReservoir:
-    """A trained hybrid RC: expert model, fixed matrices, and readout."""
+class Instantiation:
+    """One trained model: fixed matrices and ridge readout, with or without the expert.
 
-    expert: ExpertModel
-    matrices: ReservoirMatrices
-    readout: Readout
-    config: ReservoirConfig
+    Matrices and readout are both set or both None; None is the bare-ODE
+    arm, which needs an expert.  With an expert the reservoir input is
+    [u_tilde; u] and the readout features [u_tilde; g(r)], so d_in = 2 D_u
+    and C is D_u x (d_r + D_u); without one d_in = D_u and C is D_u x d_r.
+    """
+
+    matrices: ReservoirMatrices | None = None
+    readout: Readout | None = None
+    expert: ExpertModel | None = None
 
     def __post_init__(self):
-        d_u = self.matrices.d_in // 2
-        if self.matrices.d_in != 2 * d_u:
-            raise ValueError("hybrid input matrix must have an even column count")
-        if self.readout.weights.shape != (d_u, self.matrices.d_r + d_u):
-            raise ValueError("readout shape does not match hybrid feature dimension")
-
-
-def expert_step(u, expert: ExpertModel) -> np.ndarray:
-    """Free-function form of ExpertModel.step."""
-    return expert.step(u)
-
-
-def hybrid_input(u, expert: ExpertModel) -> np.ndarray:
-    """Reservoir input [u_tilde_{t+1}; u_t], expert block first."""
-    u = np.asarray(u, dtype=float)
-    return np.concatenate([expert.step(u), u])
-
-
-def hybrid_features(r_next: np.ndarray, u_tilde: np.ndarray) -> np.ndarray:
-    """Readout features [u_tilde_{t+1}; g(r_{t+1})]; g never touches the expert block."""
-    return np.concatenate([np.asarray(u_tilde, float), nonlinear_transform(r_next)])
-
-
-def hybrid_train(training: np.ndarray, m: ReservoirMatrices, cfg: ReservoirConfig,
-                 expert: ExpertModel) -> Readout:
-    """Collect expert-augmented states over a training span and fit the readout."""
-    history, targets = collect_states(training, m, cfg, expert=expert)
-    return train_readout(history, targets, cfg.regularization)
-
-
-def hybrid_forecast(warmup: np.ndarray, horizon: int, model: HybridReservoir) -> np.ndarray:
-    """Autoregressive forecast with the expert in the loop."""
-    return forecast(warmup, horizon, model.matrices, model.readout, model.config,
-                    expert=model.expert)
+        if (self.matrices is None) != (self.readout is None):
+            raise ValueError("matrices and readout must be both set or both None")
+        if self.matrices is None:
+            if self.expert is None:
+                raise ValueError("a model without a reservoir needs an expert")
+            return
+        d_u = self.readout.weights.shape[0]
+        expert_dim = d_u if self.expert is not None else 0
+        if self.matrices.d_in != d_u + expert_dim:
+            raise ValueError(f"input matrix has {self.matrices.d_in} columns; "
+                             f"expected {d_u + expert_dim}")
+        if self.readout.weights.shape != (d_u, self.matrices.d_r + expert_dim):
+            raise ValueError(f"readout shape {self.readout.weights.shape} does not match the "
+                             f"feature dimension {self.matrices.d_r + expert_dim}")

@@ -11,7 +11,7 @@ import scipy.sparse
 
 from .dynamics import BiHarmonicParams, KuramotoParams
 from .evaluation import MetricRecord
-from .hybrid import ExpertModel
+from .hybrid import ExpertModel, Instantiation
 from .reservoir import Readout, ReservoirMatrices
 
 __all__ = [
@@ -92,7 +92,10 @@ _MAGIC = b"HESNMDL1"
 _VERSION = 1
 
 
-def save_model(path, matrices: ReservoirMatrices, readout: Readout, expert: ExpertModel | None = None) -> None:
+def save_model(path, model: Instantiation) -> None:
+    if model.matrices is None:
+        raise ValueError("a model dump needs reservoir matrices")
+    matrices, readout, expert = model.matrices, model.readout, model.expert
     d_u, d_feat = readout.weights.shape
     flag = 0
     if expert is not None:
@@ -114,30 +117,45 @@ def save_model(path, matrices: ReservoirMatrices, readout: Readout, expert: Expe
                                      expert.params.second_harmonic_scale))
 
 
-def load_model(path):
-    """Returns (matrices, readout, expert-or-None)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a model dump (bad magic {magic!r})")
-        version, d_r, d_u, d_in, d_feat = struct.unpack("<5I", fh.read(20))
-        if version != _VERSION:
-            raise ValueError(f"unsupported model dump version {version}")
-        (flag,) = struct.unpack("<I", fh.read(4))
-        a = np.frombuffer(fh.read(8 * d_r * d_r), dtype="<f8").reshape(d_r, d_r)
-        b = np.frombuffer(fh.read(8 * d_r * d_in), dtype="<f8").reshape(d_r, d_in)
-        c = np.frombuffer(fh.read(8 * d_u * d_feat), dtype="<f8").reshape(d_u, d_feat)
-        expert = None
-        if flag:
-            (dt,) = struct.unpack("<d", fh.read(8))
-            (coupling,) = struct.unpack("<d", fh.read(8))
-            n = d_u // 2
-            omega = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            params = KuramotoParams(omega=omega, coupling=coupling)
-            if flag == 2:
-                g1, g2, a2 = struct.unpack("<3d", fh.read(24))
-                params = BiHarmonicParams(base=params, gamma1=g1, gamma2=g2,
-                                          second_harmonic_scale=a2)
-            expert = ExpertModel(params=params, dt=dt)
-    matrices = ReservoirMatrices(internal=scipy.sparse.csr_matrix(a), input=b.copy())
-    return matrices, Readout(weights=c.copy()), expert
+def load_model(path) -> Instantiation:
+    """Read a model dump, checked against its own header.
+
+    Raises ValueError when the magic, version or expert flag is unknown, when
+    the file is shorter or longer than its header implies, or when the
+    blocks do not form a model (see `Instantiation`).
+    """
+    blob = Path(path).read_bytes()
+    if blob[:8] != _MAGIC:
+        raise ValueError(f"not a model dump (bad magic {blob[:8]!r})")
+    if len(blob) < 32:
+        raise ValueError("model dump truncated inside its 32-byte header")
+    version, d_r, d_u, d_in, d_feat, flag = struct.unpack_from("<6I", blob, 8)
+    if version != _VERSION:
+        raise ValueError(f"unsupported model dump version {version}")
+    if flag not in (0, 1, 2):
+        raise ValueError(f"unknown expert flag {flag} in model dump")
+    if flag and d_u % 2:
+        raise ValueError(f"model dump has an expert but an odd output dimension {d_u}")
+    # A, B, C, then (dt, K, omega) and (gamma1, gamma2, a) as the flag says
+    sizes = [d_r * d_r, d_r * d_in, d_u * d_feat, 2 + d_u // 2, 3][:3 + flag]
+    expected = 32 + 8 * sum(sizes)
+    if len(blob) < expected:
+        raise ValueError(f"model dump truncated: {len(blob)} bytes, its header "
+                         f"implies {expected}")
+    if len(blob) > expected:
+        raise ValueError(f"model dump has {len(blob) - expected} trailing bytes beyond "
+                         f"the {expected} its header implies")
+    a, b, c, *expert_blocks = np.split(np.frombuffer(blob, dtype="<f8", offset=32),
+                                       np.cumsum(sizes)[:-1])
+    expert = None
+    if flag:
+        dt, coupling, *omega = expert_blocks[0]
+        params = KuramotoParams(omega=np.array(omega), coupling=float(coupling))
+        if flag == 2:
+            g1, g2, a2 = map(float, expert_blocks[1])
+            params = BiHarmonicParams(base=params, gamma1=g1, gamma2=g2,
+                                      second_harmonic_scale=a2)
+        expert = ExpertModel(params=params, dt=float(dt))
+    matrices = ReservoirMatrices(internal=scipy.sparse.csr_matrix(a.reshape(d_r, d_r)),
+                                 input=b.reshape(d_r, d_in).copy())
+    return Instantiation(matrices, Readout(weights=c.reshape(d_u, d_feat).copy()), expert)

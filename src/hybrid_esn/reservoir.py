@@ -256,7 +256,7 @@ def nonlinear_transform(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def collect_states(training: np.ndarray, m: ReservoirMatrices, cfg: ReservoirConfig, expert=None):
+def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     """Drive the reservoir through a training span in feed-forward mode.
 
     `training` is D_u x (n_T + 1); column t of the returned history holds
@@ -438,7 +438,7 @@ def forecast_columns(warmups: np.ndarray, horizon: int, on_step, stack=None,
 
 
 def forecast(warmup: np.ndarray, horizon: int, m: ReservoirMatrices, readout: Readout,
-             cfg: ReservoirConfig, expert=None) -> np.ndarray:
+             expert=None) -> np.ndarray:
     """Warm up on a span, then forecast autoregressively for `horizon` steps.
 
     The reservoir starts from r = 0, consumes the warm-up span feed-forward,

@@ -1,11 +1,14 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from hybrid_esn.cli import main
-from hybrid_esn.config import SCHEMA_VERSION
+from hybrid_esn.config import SCHEMA_VERSION, load_config
+from hybrid_esn.evaluation import segment
+from hybrid_esn.experiments import SeedScheme, run_shared_procedure, train_instantiation
 from hybrid_esn.io import load_model, read_metric_csv, read_trajectory_csv
 from hybrid_esn.reservoir import CollectionError
 
@@ -122,10 +125,10 @@ class TestTrainForecast:
                                       "--regime", "synchrony",
                                       "--model", "hybrid", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        matrices, readout, expert = load_model(out)
-        assert matrices.d_r == 40
-        assert readout.weights.shape == (10, 50)
-        assert expert is not None
+        model = load_model(out)
+        assert model.matrices.d_r == 40
+        assert model.readout.weights.shape == (10, 50)
+        assert model.expert is not None
 
     def test_train_standard_has_no_expert(self, runner, tmp_path):
         cfg = write_config(tmp_path)
@@ -134,9 +137,9 @@ class TestTrainForecast:
                                       "--regime", "synchrony",
                                       "--model", "standard", "--out", str(out)])
         assert result.exit_code == 0
-        _, readout, expert = load_model(out)
-        assert expert is None
-        assert readout.weights.shape == (10, 40)
+        model = load_model(out)
+        assert model.expert is None
+        assert model.readout.weights.shape == (10, 40)
 
     def test_unknown_model_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)
@@ -175,11 +178,51 @@ class TestTrainForecast:
         def fail(*args, **kwargs):
             raise CollectionError(4)
 
-        monkeypatch.setattr("hybrid_esn.cli.collect_states", fail)
+        monkeypatch.setattr("hybrid_esn.experiments.collect_states", fail)
         cfg = write_config(tmp_path)
         result = runner.invoke(main, ["forecast", "--config", str(cfg), "--regime", "synchrony",
                                       "--out", str(tmp_path / "p.csv")])
         assert_one_line_error(result, 3, "training step 4")
+
+    @pytest.mark.parametrize("model", ["standard", "hybrid"])
+    def test_cli_trains_through_shared_builder(self, runner, tmp_path, model):
+        # the train dump is the experiments' instantiation 0, and forecast
+        # prints the metrics of its record for every span
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        cache = {}
+        records = run_shared_procedure(cfg.manifest(), model, cfg.baselines, "synchrony",
+                                       ground_truth_cache=cache)
+        record, params = cache[(cfg.task, "synchrony", 0, 0)]
+        ctx = dict(task=cfg.task, regime="synchrony", realization=0, sweep_index=0,
+                   instantiation=0)
+        want = train_instantiation(cfg.manifest(), model, cfg.baselines,
+                                   SeedScheme(cfg.master_seed), segment(record, cfg.layout)[0],
+                                   params, {}, ctx)
+        out = tmp_path / "model.bin"
+        result = runner.invoke(main, ["train", "--config", str(path), "--regime", "synchrony",
+                                      "--model", model, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        got = load_model(out)
+        np.testing.assert_array_equal(got.matrices.internal.toarray(),
+                                      want.matrices.internal.toarray())
+        np.testing.assert_array_equal(got.matrices.input, want.matrices.input)
+        np.testing.assert_array_equal(got.readout.weights, want.readout.weights)
+        if model == "hybrid":
+            np.testing.assert_array_equal(got.expert.params.omega, want.expert.params.omega)
+            assert got.expert.params.coupling == want.expert.params.coupling
+        else:
+            assert got.expert is None and want.expert is None
+        firsts = [r for r in records if r.instantiation == 0]
+        assert [r.span for r in firsts] == [0, 1]
+        for rec in firsts:
+            result = runner.invoke(main, ["forecast", "--config", str(path),
+                                          "--regime", "synchrony", "--model", model,
+                                          "--span", str(rec.span),
+                                          "--out", str(tmp_path / "p.csv")])
+            assert result.exit_code == 0, result.output
+            assert result.output.splitlines()[-1] == (
+                f"mean_nmse={rec.mean_nmse:.9g} valid_time_s={rec.valid_time:.9g}")
 
     def test_forecast_span_out_of_range_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)

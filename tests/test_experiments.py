@@ -209,7 +209,7 @@ class TestSharedProcedure:
                                    scheme.stream(role="internal", **ctx),
                                    scheme.stream(role="input", **ctx))
                 expert = expert if model == "hybrid" else None
-                readout = train_readout(*collect_states(training, m, cfg, expert=expert),
+                readout = train_readout(*collect_states(training, m, expert=expert),
                                         cfg.regularization)
             for k, (warmup, test) in enumerate(spans):
                 if model == "ode":
@@ -218,7 +218,7 @@ class TestSharedProcedure:
                     for step in range(truth.shape[1]):
                         u = preds[:, step] = expert.step(u)
                 else:
-                    preds = forecast(warmup, test.shape[1], m, readout, cfg, expert=expert)
+                    preds = forecast(warmup, test.shape[1], m, readout, expert=expert)
                     truth = test
                 fr = ForecastResult(prediction=preds, truth=truth, dt=man.layout.dt)
                 want.append(MetricRecord(

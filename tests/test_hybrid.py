@@ -16,22 +16,14 @@ from hybrid_esn.dynamics import (
     simulate,
     standard_regime,
 )
-from hybrid_esn.hybrid import (
-    ExpertModel,
-    HybridReservoir,
-    stack_experts,
-    expert_step,
-    hybrid_features,
-    hybrid_forecast,
-    hybrid_input,
-    hybrid_train,
-)
+from hybrid_esn.hybrid import ExpertModel, Instantiation, stack_experts
 from hybrid_esn.reservoir import (
     ReservoirConfig,
     ReservoirMatrices,
     Readout,
     build_matrices,
     collect_states,
+    forecast,
     nonlinear_transform,
     train_readout,
 )
@@ -98,27 +90,38 @@ class TestExpertModel:
         assert np.max(np.abs(radii - 1.0)) < 1e-12
 
 
+def _probe_matrices(d_u=4, weight=0.5):
+    """A = 0 and B routing input j to reservoir node 2j, which g passes through."""
+    d_r, d_in = 4 * d_u, 2 * d_u
+    b = np.zeros((d_r, d_in))
+    b[2 * np.arange(d_in), np.arange(d_in)] = weight
+    return ReservoirMatrices(internal=scipy.sparse.csr_matrix((d_r, d_r)), input=b)
+
+
 class TestHybridInputAndFeatures:
     def test_input_block_order(self):
-        expert = ExpertModel(KuramotoParams(omega=np.zeros(2), coupling=0.0))
+        # the reservoir input is [u_tilde; u], expert block first: with A = 0
+        # the first state reads it back through tanh
+        expert = ExpertModel(KuramotoParams(omega=np.array([3.0, -2.0]), coupling=0.0))
         u = phases_to_components([0.5, 1.0])
-        v = hybrid_input(u, expert)
+        history, _ = collect_states(np.stack([u, u], axis=1), _probe_matrices(), expert=expert)
+        v = np.arctanh(history.features[4::2, 0]) / 0.5
         assert v.shape == (8,)
-        np.testing.assert_allclose(v[:4], u, atol=1e-15)  # trivial expert: tilde == u
-        np.testing.assert_array_equal(v[4:], u)
+        np.testing.assert_allclose(v[:4], expert.step(u), atol=1e-12)
+        np.testing.assert_allclose(v[4:], u, atol=1e-12)
+        assert np.max(np.abs(v[:4] - u)) > 0.1  # the two blocks are told apart
 
     def test_features_expert_block_untransformed(self):
         # g squares even-index entries of r but must never touch u_tilde
-        u_tilde = np.array([0.9, -0.9])
-        r = np.array([0.5, -0.5, 0.25, 2.0])
-        feat = hybrid_features(r, u_tilde)
-        np.testing.assert_array_equal(feat[:2], u_tilde)
-        np.testing.assert_allclose(feat[2:], [0.5, 0.25, 0.25, 4.0], atol=1e-16)
-
-    def test_expert_step_free_function(self):
-        expert = ExpertModel(KuramotoParams(omega=np.zeros(1), coupling=0.0))
-        u = np.array([0.0, 1.0])
-        np.testing.assert_array_equal(expert_step(u, expert), expert.step(u))
+        expert = ExpertModel(KuramotoParams(omega=np.zeros(2), coupling=0.0))
+        u = phases_to_components([-0.5, 2.0])  # u_tilde == u, with negative entries
+        m = _probe_matrices()
+        history, _ = collect_states(np.stack([u, u], axis=1), m, expert=expert)
+        feat = history.features[:, 0]
+        np.testing.assert_array_equal(feat[:4], expert.step(u))
+        r = np.tanh(m.input @ np.concatenate([expert.step(u), u]))
+        np.testing.assert_array_equal(feat[4:], nonlinear_transform(r))
+        assert np.any(feat[:4] < 0)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +138,7 @@ class TestHybridTraining:
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, True, 1, 2)
         expert = ExpertModel(params)
-        history, targets = collect_states(traj[:, :301], m, cfg, expert=expert)
+        history, targets = collect_states(traj[:, :301], m, expert=expert)
         assert history.features.shape == (310, 300)
         assert targets.shape == (10, 300)
 
@@ -144,7 +147,7 @@ class TestHybridTraining:
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, True, 1, 2)
         expert = ExpertModel(params)
-        collect_states(traj[:, :201], m, cfg, expert=expert)
+        collect_states(traj[:, :201], m, expert=expert)
         assert expert.calls == 200
 
     def test_perfect_expert_low_training_error(self, sync_setup):
@@ -155,7 +158,7 @@ class TestHybridTraining:
         m = build_matrices(cfg, 10, True, 3, 4)
         expert = ExpertModel(params)
         training = traj[:, :1001]
-        history, targets = collect_states(training, m, cfg, expert=expert)
+        history, targets = collect_states(training, m, expert=expert)
         readout = train_readout(history, targets, cfg.regularization)
         resid = readout.weights @ history.features - targets
         nmse = np.linalg.norm(resid) / np.linalg.norm(targets)
@@ -170,7 +173,7 @@ class TestHybridTraining:
         m = build_matrices(cfg, 10, True, 5, 6)
         expert = ExpertModel(params)
         training = traj[:, :501]
-        history, targets = collect_states(training, m, cfg, expert=expert)
+        history, targets = collect_states(training, m, expert=expert)
         beta = cfg.regularization
         hybrid_readout = train_readout(history, targets, beta)
 
@@ -192,23 +195,27 @@ def trained(sync_setup):
     cfg = ReservoirConfig()
     m = build_matrices(cfg, 10, True, 7, 8)
     expert = ExpertModel(params)
-    readout = hybrid_train(traj[:, :1001], m, cfg, expert)
-    model = HybridReservoir(expert=expert, matrices=m, readout=readout, config=cfg)
-    return model, traj
+    readout = train_readout(*collect_states(traj[:, :1001], m, expert=expert),
+                            cfg.regularization)
+    return Instantiation(m, readout, expert), traj
+
+
+def model_forecast(warmup, horizon, model):
+    return forecast(warmup, horizon, model.matrices, model.readout, expert=model.expert)
 
 
 class TestHybridForecast:
     def test_tracks_truth_far_beyond_standard_horizon(self, trained):
         model, traj = trained
-        preds = hybrid_forecast(traj[:, 1100:1200], 300, model)
+        preds = model_forecast(traj[:, 1100:1200], 300, model)
         truth = traj[:, 1200:1500]
         err = np.linalg.norm(preds - truth, axis=0) / np.sqrt(5)
         assert np.all(err < 0.4)
 
     def test_deterministic(self, trained):
         model, traj = trained
-        a = hybrid_forecast(traj[:, 1100:1200], 50, model)
-        b = hybrid_forecast(traj[:, 1100:1200], 50, model)
+        a = model_forecast(traj[:, 1100:1200], 50, model)
+        b = model_forecast(traj[:, 1100:1200], 50, model)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_validation(self, sync_setup):
@@ -217,7 +224,28 @@ class TestHybridForecast:
         m = build_matrices(cfg, 10, True, 7, 8)
         bad = Readout(weights=np.zeros((10, 300)))  # missing expert block
         with pytest.raises(ValueError):
-            HybridReservoir(expert=ExpertModel(params), matrices=m, readout=bad, config=cfg)
+            Instantiation(m, bad, ExpertModel(params))
+
+    def test_instantiation_shapes_checked_for_every_arm(self, sync_setup):
+        params, _ = sync_setup
+        cfg = ReservoirConfig(size=30)
+        expert = ExpertModel(params)
+        standard = build_matrices(cfg, 10, False, 1, 2)
+        hybrid = build_matrices(cfg, 10, True, 1, 2)
+        Instantiation(standard, Readout(np.zeros((10, 30))))
+        Instantiation(hybrid, Readout(np.zeros((10, 40))), expert)
+        Instantiation(expert=expert)
+        bad = [
+            (None, None, None),  # a model without a reservoir needs an expert
+            (standard, None, None),  # matrices without a readout
+            (None, Readout(np.zeros((10, 30))), expert),  # a readout without matrices
+            (hybrid, Readout(np.zeros((10, 40))), None),  # hybrid B, no expert
+            (standard, Readout(np.zeros((10, 40))), expert),  # standard B with an expert
+            (standard, Readout(np.zeros((10, 40))), None),  # expert block but no expert
+        ]
+        for matrices, readout, ex in bad:
+            with pytest.raises(ValueError):
+                Instantiation(matrices, readout, ex)
 
     def test_block_order_pinned_by_construction(self, sync_setup):
         # a B matrix that reads ONLY the expert block must behave differently
@@ -237,8 +265,8 @@ class TestHybridForecast:
         m2 = ReservoirMatrices(internal=internal, input=b_state)
         e1 = ExpertModel(wrong)
         e2 = ExpertModel(wrong)
-        h1, _ = collect_states(traj[:, :101], m1, cfg, expert=e1)
-        h2, _ = collect_states(traj[:, :101], m2, cfg, expert=e2)
+        h1, _ = collect_states(traj[:, :101], m1, expert=e1)
+        h2, _ = collect_states(traj[:, :101], m2, expert=e2)
         # expert blocks agree (same expert), reservoir blocks must differ
         np.testing.assert_array_equal(h1.features[:10], h2.features[:10])
         assert np.max(np.abs(h1.features[10:] - h2.features[10:])) > 1e-3

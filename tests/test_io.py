@@ -4,7 +4,7 @@ import scipy.sparse
 
 from hybrid_esn.dynamics import BiHarmonicParams, KuramotoParams
 from hybrid_esn.evaluation import MetricRecord
-from hybrid_esn.hybrid import ExpertModel
+from hybrid_esn.hybrid import ExpertModel, Instantiation
 from hybrid_esn.io import (
     METRIC_CSV_HEADER,
     load_model,
@@ -93,7 +93,7 @@ class TestModelDump:
     def test_magic_and_header(self, tmp_path):
         path = tmp_path / "model.bin"
         m = _matrices()
-        save_model(path, m, Readout(weights=np.zeros((4, 8))))
+        save_model(path, Instantiation(m, Readout(weights=np.zeros((4, 8)))))
         blob = path.read_bytes()
         assert blob[:8] == b"HESNMDL1"
         import struct
@@ -105,20 +105,20 @@ class TestModelDump:
         m = _matrices()
         rng = np.random.default_rng(1)
         readout = Readout(weights=rng.normal(size=(4, 8)))
-        save_model(path, m, readout)
-        m2, r2, expert = load_model(path)
-        assert expert is None
-        np.testing.assert_array_equal(m2.internal.toarray(), m.internal.toarray())
-        np.testing.assert_array_equal(m2.input, m.input)
-        np.testing.assert_array_equal(r2.weights, readout.weights)
+        save_model(path, Instantiation(m, readout))
+        model = load_model(path)
+        assert model.expert is None
+        np.testing.assert_array_equal(model.matrices.internal.toarray(), m.internal.toarray())
+        np.testing.assert_array_equal(model.matrices.input, m.input)
+        np.testing.assert_array_equal(model.readout.weights, readout.weights)
 
     def test_round_trip_hybrid_kuramoto(self, tmp_path):
         path = tmp_path / "model.bin"
         m = _matrices(d_r=6, d_in=8)
         readout = Readout(weights=np.ones((4, 10)))
         params = KuramotoParams(omega=np.array([0.3, -0.7]), coupling=4.0)
-        save_model(path, m, readout, ExpertModel(params=params, dt=0.1))
-        _, _, expert = load_model(path)
+        save_model(path, Instantiation(m, readout, ExpertModel(params=params, dt=0.1)))
+        expert = load_model(path).expert
         assert expert is not None and expert.dt == 0.1
         assert isinstance(expert.params, KuramotoParams)
         np.testing.assert_array_equal(expert.params.omega, params.omega)
@@ -131,8 +131,8 @@ class TestModelDump:
         base = KuramotoParams(omega=np.array([0.01, -0.02]), coupling=1.0)
         params = BiHarmonicParams(base=base, gamma1=1.3, gamma2=np.pi,
                                   second_harmonic_scale=0.2)
-        save_model(path, m, readout, ExpertModel(params=params, dt=0.1))
-        _, _, expert = load_model(path)
+        save_model(path, Instantiation(m, readout, ExpertModel(params=params, dt=0.1)))
+        expert = load_model(path).expert
         assert isinstance(expert.params, BiHarmonicParams)
         assert expert.params.gamma1 == 1.3
         assert expert.params.gamma2 == np.pi
@@ -152,11 +152,36 @@ class TestModelDump:
         traj = generate_trajectory(standard_regime("synchrony"), IntegratorConfig(), 300, 2)
         cfg = ReservoirConfig(size=60)
         m = build_matrices(cfg, 10, False, 0, 1)
-        history, targets = collect_states(traj[:, :201], m, cfg)
+        history, targets = collect_states(traj[:, :201], m)
         readout = train_readout(history, targets, cfg.regularization)
         path = tmp_path / "model.bin"
-        save_model(path, m, readout)
-        m2, r2, _ = load_model(path)
-        a = forecast(traj[:, 200:250], 20, m, readout, cfg)
-        b = forecast(traj[:, 200:250], 20, m2, r2, cfg)
+        save_model(path, Instantiation(m, readout))
+        loaded = load_model(path)
+        a = forecast(traj[:, 200:250], 20, m, readout)
+        b = forecast(traj[:, 200:250], 20, loaded.matrices, loaded.readout)
         np.testing.assert_array_equal(a, b)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, Instantiation(_matrices(), Readout(weights=np.zeros((4, 8)))))
+        path.write_bytes(path.read_bytes() + b"\x00" * 40)
+        with pytest.raises(ValueError, match="40 trailing bytes"):
+            load_model(path)
+
+    def test_truncated_dump_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, Instantiation(_matrices(), Readout(weights=np.zeros((4, 8)))))
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
+
+    def test_readout_wider_than_header_model_rejected(self, tmp_path):
+        # flag 0 (no expert) but d_feat = d_r + d_u: the file is as long as
+        # its header says, yet its readout needs an expert block
+        import struct
+        d_r, d_u = 8, 4
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"HESNMDL1" + struct.pack("<6I", 1, d_r, d_u, d_u, d_r + d_u, 0)
+                         + np.zeros(d_r * d_r + d_r * d_u + d_u * (d_r + d_u)).tobytes())
+        with pytest.raises(ValueError, match="readout shape"):
+            load_model(path)

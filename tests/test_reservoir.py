@@ -354,7 +354,7 @@ class TestCollection:
     def test_shapes_standard(self, sync_training):
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, False, 1, 2)
-        history, targets = collect_states(sync_training, m, cfg)
+        history, targets = collect_states(sync_training, m)
         assert history.features.shape == (300, 1000)
         assert targets.shape == (10, 1000)
         np.testing.assert_array_equal(targets, sync_training[:, 1:])
@@ -362,7 +362,7 @@ class TestCollection:
     def test_first_column_uses_zero_initial_state(self, sync_training):
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, False, 1, 2)
-        history, _ = collect_states(sync_training[:, :3], m, cfg)
+        history, _ = collect_states(sync_training[:, :3], m)
         want = nonlinear_transform(update_state(np.zeros(300), sync_training[:, 0], m))
         np.testing.assert_allclose(history.features[:, 0], want, atol=1e-15)
 
@@ -370,13 +370,13 @@ class TestCollection:
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, False, 1, 2)
         with pytest.raises(ValueError):
-            collect_states(np.ones((10, 1)), m, cfg)
+            collect_states(np.ones((10, 1)), m)
 
     def test_determinism(self, sync_training):
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, False, 1, 2)
-        h1, _ = collect_states(sync_training, m, cfg)
-        h2, _ = collect_states(sync_training, m, cfg)
+        h1, _ = collect_states(sync_training, m)
+        h2, _ = collect_states(sync_training, m)
         np.testing.assert_array_equal(h1.features, h2.features)
 
 
@@ -384,7 +384,7 @@ class TestCollection:
 def trained(sync_training):
     cfg = ReservoirConfig()
     m = build_matrices(cfg, 10, False, 11, 12)
-    history, targets = collect_states(sync_training, m, cfg)
+    history, targets = collect_states(sync_training, m)
     readout = train_readout(history, targets, cfg.regularization)
     return cfg, m, readout
 
@@ -392,7 +392,7 @@ def trained(sync_training):
 class TestForecast:
     def test_output_shape_and_unit_circle(self, trained, sync_training):
         cfg, m, readout = trained
-        preds = forecast(sync_training[:, :100], 50, m, readout, cfg)
+        preds = forecast(sync_training[:, :100], 50, m, readout)
         assert preds.shape == (10, 50)
         radii = preds[0::2] ** 2 + preds[1::2] ** 2
         assert np.max(np.abs(radii - 1.0)) < 1e-9
@@ -400,7 +400,7 @@ class TestForecast:
     def test_short_horizon_tracks_truth(self, trained, sync_training):
         cfg, m, readout = trained
         warmup = sync_training[:, :500]
-        preds = forecast(warmup, 5, m, readout, cfg)
+        preds = forecast(warmup, 5, m, readout)
         truth = sync_training[:, 500:505]
         assert np.max(np.abs(preds - truth)) < 0.05
 
@@ -409,7 +409,7 @@ class TestForecast:
         # reservoir with [warmup, preds[:-1]] reproduces the last prediction
         cfg, m, readout = trained
         warmup = sync_training[:, :200]
-        preds = forecast(warmup, 10, m, readout, cfg)
+        preds = forecast(warmup, 10, m, readout)
         r = np.zeros(300)
         from hybrid_esn.dynamics import normalize_components
         for t in range(warmup.shape[1]):
@@ -423,21 +423,21 @@ class TestForecast:
 
     def test_determinism(self, trained, sync_training):
         cfg, m, readout = trained
-        a = forecast(sync_training[:, :100], 30, m, readout, cfg)
-        b = forecast(sync_training[:, :100], 30, m, readout, cfg)
+        a = forecast(sync_training[:, :100], 30, m, readout)
+        b = forecast(sync_training[:, :100], 30, m, readout)
         np.testing.assert_array_equal(a, b)
 
     def test_bad_horizon_rejected(self, trained, sync_training):
         cfg, m, readout = trained
         with pytest.raises(ValueError):
-            forecast(sync_training[:, :100], 0, m, readout, cfg)
+            forecast(sync_training[:, :100], 0, m, readout)
 
     def test_abort_carries_prefix(self, trained, sync_training):
         cfg, m, _ = trained
         # a readout that always outputs zeros cannot be renormalized
         bad = Readout(weights=np.zeros((10, 300)))
         with pytest.raises(ForecastAbort) as err:
-            forecast(sync_training[:, :100], 20, m, bad, cfg)
+            forecast(sync_training[:, :100], 20, m, bad)
         assert err.value.step == 0
         assert err.value.partial.shape == (10, 0)
 
@@ -519,7 +519,7 @@ def train_instantiations(setup, hybrid, size=60):
     for k in range(N_INST):
         m = build_matrices(cfg, 10, hybrid, 40 + k, 50 + k)
         expert = ExpertModel(perturb_params(params, 0.1, 0.1, 60 + k)) if hybrid else None
-        history, targets = collect_states(training, m, cfg, expert=expert)
+        history, targets = collect_states(training, m, expert=expert)
         members.append((m, train_readout(history, targets, cfg.regularization), expert))
     return members
 
@@ -552,7 +552,7 @@ class TestLockstepForecast:
             np.testing.assert_array_equal(got, want)
             if c % N_SPANS == 0:
                 np.testing.assert_array_equal(
-                    forecast(spans[0], HORIZON, m, readout, ReservoirConfig(), expert=ex), want)
+                    forecast(spans[0], HORIZON, m, readout, expert=ex), want)
 
     @pytest.mark.parametrize("hybrid", [False, True])
     def test_nan_readout_aborts_only_its_columns(self, lockstep_setup, hybrid):
