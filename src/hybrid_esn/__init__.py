@@ -7,11 +7,8 @@ from .dynamics import (
     KuramotoParams,
     RegimeSpec,
     biharmonic_regime,
-    biharmonic_rhs,
-    component_rhs,
     components_to_phases,
     generate_trajectory,
-    kuramoto_rhs,
     normalize_components,
     perturb_params,
     phases_to_components,

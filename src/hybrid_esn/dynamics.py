@@ -28,10 +28,7 @@ __all__ = [
     "components_to_phases",
     "normalize_components",
     "normalize_rows",
-    "kuramoto_rhs",
-    "biharmonic_rhs",
-    "component_rhs",
-    "rk4_step",
+    "RK4Stepper",
     "integrate_step",
     "sample_frequencies",
     "sample_initial_phases",
@@ -81,7 +78,7 @@ class KuramotoParams:
 class RowParams:
     """Kuramoto parameters with one set per row of an (S, 2N) state batch.
 
-    `component_rhs` reads it like KuramotoParams: omega is (S, N) and the
+    `RK4Stepper` reads it like KuramotoParams: omega is (S, N) and the
     coupling a scalar shared by every row or (S, 1), one per row.
     """
 
@@ -278,97 +275,178 @@ def _split_components(c):
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides
-
-
-def _check_phase_state(theta, n):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.size != n:
-        raise ValueError(f"state length {theta.size} != {n} oscillators")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("non-finite phase state")
-    return theta
-
-
-def kuramoto_rhs(theta, params: KuramotoParams) -> np.ndarray:
-    """dtheta_i/dt = omega_i + (K/N) sum_j sin(theta_j - theta_i)."""
-    theta = _check_phase_state(theta, params.n_oscillators)
-    diff = theta[None, :] - theta[:, None]  # diff[i, j] = theta_j - theta_i
-    n = params.n_oscillators
-    return params.omega + (params.coupling / n) * np.sin(diff).sum(axis=1)
-
-
-def biharmonic_rhs(theta, params: BiHarmonicParams) -> np.ndarray:
-    """Kuramoto rate with shifted first harmonic plus scaled second harmonic."""
-    theta = _check_phase_state(theta, params.n_oscillators)
-    base = params.base
-    diff = theta[None, :] - theta[:, None]
-    coupling = np.sin(diff + params.gamma1)
-    coupling += params.second_harmonic_scale * np.sin(2.0 * diff + params.gamma2)
-    n = params.n_oscillators
-    return base.omega + (base.coupling / n) * coupling.sum(axis=1)
-
-
-def component_rhs(state, params) -> np.ndarray:
-    """Phase-component image of the oscillator ODE: dx = -y*rate, dy = x*rate.
-
-    The pairwise sin/cos terms are evaluated from the components themselves
-    (sin(theta_j - theta_i) = y_j x_i - x_j y_i, etc.), so the field is a
-    smooth polynomial extension off the unit-circle manifold.
-
-    `state` is (..., 2N) with any leading batch axes; every reduction runs
-    over the contiguous last axis, so each row is bitwise equal to the 1-d
-    call.  `params` (or its bi-harmonic base) may be a RowParams, with one
-    omega per row.
-    """
-    state = np.asarray(state, dtype=float)
-    if state.ndim == 0 or state.shape[-1] != 2 * params.n_oscillators:
-        raise ValueError(
-            f"component state shape {state.shape} does not end in 2*{params.n_oscillators}"
-        )
-    x = state[..., 0::2]
-    y = state[..., 1::2]
-    xi, yi = x[..., None], y[..., None]
-    xj, yj = x[..., None, :], y[..., None, :]
-    # s[i, j] = sin(theta_j - theta_i), c[i, j] = cos(theta_j - theta_i)
-    s = yj * xi - xj * yi
-    if isinstance(params, BiHarmonicParams):
-        c = xj * xi + yj * yi
-        pair = s * np.cos(params.gamma1) + c * np.sin(params.gamma1)
-        pair += params.second_harmonic_scale * (
-            2.0 * s * c * np.cos(params.gamma2) + (c * c - s * s) * np.sin(params.gamma2)
-        )
-        base = params.base
-    else:
-        pair = s
-        base = params
-    n = params.n_oscillators
-    rate = base.omega + (base.coupling / n) * np.add.reduce(pair, axis=-1)
-    out = np.empty_like(state)
-    out[..., 0::2] = -y * rate
-    out[..., 1::2] = x * rate
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Integration
 
 
-def rk4_step(f, y, h):
-    """One classical 4th-order Runge-Kutta step of size h for y' = f(y)."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class RK4Stepper:
+    """Classical RK4 for the phase-component ODE, advancing its own state in place.
+
+    The field is dx_i = -y_i*rate_i, dy_i = x_i*rate_i, with the pairwise
+    terms evaluated from the components themselves (sin(theta_j - theta_i)
+    = y_j x_i - x_j y_i, cos(theta_j - theta_i) = x_j x_i + y_j y_i), so it
+    is a smooth polynomial extension off the unit-circle manifold.
+
+    Built once per integration for `params`, a batch shape `lead` and a step
+    h.  The state is planar: `state[0]` holds x and `state[1]` y, each of
+    shape (*lead, N); `load` and `components` convert from and to the
+    interleaved (*lead, 2N) layout.  Every buffer and view is made here, so a
+    step allocates nothing.  `params` may be a RowParams (or a bi-harmonic
+    model over one) whose omega and coupling broadcast against `lead`.
+
+    A step performs the IEEE operations of the textbook form
+    y + (h/6)(k1 + 2 k2 + 2 k3 + k4) in the same order, so a row is bitwise
+    the same whatever batch it is part of:
+    - the pairwise products come from one broadcast multiply (x_i y_j where
+      the textbook has y_j x_i, which commutativity leaves exact) and are
+      reduced over the contiguous last axis;
+    - the sign of dx is folded into the rate, [-omega; omega] +
+      [-K/N; K/N] * sum, which negation leaves exact;
+    - an outer-axis reduce of [k1, 2 k2, 2 k3, k4] adds them in that order.
+    Complex arithmetic is avoided on purpose: numpy's SIMD complex multiply
+    may fuse into FMA and round differently by CPU.
+    """
+
+    def __init__(self, params, lead, h: float):
+        lead = tuple(lead)
+        n = params.n_oscillators
+        self.params, self.lead, self.h = params, lead, h
+        biharmonic = isinstance(params, BiHarmonicParams)
+        base = params.base if biharmonic else params
+
+        def signed(v):  # [-v; v], shaped to broadcast against (2, *lead, N)
+            v = np.asarray(v, dtype=float)
+            return np.stack([-v, v]).reshape((2,) + (1,) * (len(lead) + 1 - v.ndim) + v.shape)
+
+        self._omega, self._gain = signed(base.omega), signed(base.coupling / n)
+        # 0-d arrays: numpy converts a Python float operand on every call
+        self._constants = tuple(map(np.array, (0.5 * h, h, h / 6.0, 2.0)))
+        self.state = np.empty((2, *lead, n))
+        self._stage = np.empty_like(self.state)
+        self._k = np.empty((4, *self.state.shape))
+        self._k_views = (*self._k, self._k[1:3])
+        self._sums = np.empty((*lead, n))
+        self._rate = np.empty_like(self.state)
+        if biharmonic:
+            # all four products at once: [[x_i x_j, x_i y_j], [y_i x_j, y_i y_j]]
+            pairs = np.empty((2, 2, *lead, n, n))
+            sc = np.empty((2, *lead, n, n))  # [s; c]
+            self._pairs = (pairs, *pairs[0], *pairs[1], sc, *sc)
+            self._harmonics = tuple(map(np.array, (
+                np.cos(params.gamma1), np.sin(params.gamma1), np.cos(params.gamma2),
+                np.sin(params.gamma2), params.second_harmonic_scale)))
+
+            def operands(buf):
+                return buf.reshape(2, 1, *lead, n, 1), buf.reshape(1, 2, *lead, 1, n)
+        else:
+            # [x_i; y_i] as columns times [y_j; x_j] as rows: [x_i y_j; y_i x_j]
+            pairs = np.empty((2, *lead, n, n))
+            self._pairs = (pairs, *pairs)
+            self._harmonics = None
+
+            def operands(buf):
+                return buf[..., :, None], buf[::-1][..., None, :]
+        # per input buffer (the state or the stage): the product operands and [y; x]
+        self._inputs = tuple((*operands(buf), buf[::-1]) for buf in (self.state, self._stage))
+
+    def load(self, u) -> None:
+        """Set the state from interleaved (*lead, 2N) components."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != self.lead + (2 * self.state.shape[-1],):
+            raise ValueError(f"component state shape {u.shape} does not match "
+                             f"{self.lead} rows of 2*{self.state.shape[-1]}")
+        self.state[0] = u[..., 0::2]
+        self.state[1] = u[..., 1::2]
+
+    def components(self) -> np.ndarray:
+        """A fresh interleaved (*lead, 2N) copy of the state."""
+        out = np.empty(self.lead + (2 * self.state.shape[-1],))
+        self.store(out)
+        return out
+
+    def store(self, out) -> None:
+        """Write the state into an interleaved (*lead, 2N) array or view."""
+        out[..., 0::2] = self.state[0]
+        out[..., 1::2] = self.state[1]
+
+    def normalize(self):
+        """Rescale each (x_i, y_i) pair to unit length; flag rows that cannot be.
+
+        Returns ok, of shape `lead`: False where a row holds a non-finite
+        entry or a pair at the origin, and such a row is left unchanged.
+        """
+        state = self.state
+        r = np.hypot(state[0], state[1])
+        ok = np.isfinite(state).all(axis=(0, -1)) & (r > 1e-12).all(axis=-1)
+        if not ok.all():
+            r[~ok] = 1.0
+        np.divide(state, r, out=state)
+        return ok
+
+    def _rhs(self, operands, out) -> None:
+        """out = f(buffer), given the operands of a planar buffer (the state or the stage)."""
+        col, row, swapped = operands
+        pairs, harmonics = self._pairs, self._harmonics
+        np.multiply(col, row, pairs[0])
+        if harmonics is None:
+            _, p0, p1 = pairs
+            np.subtract(p0, p1, p0)  # s_ij = sin(theta_j - theta_i)
+            coupled = p0
+        else:
+            # s cos g1 + c sin g1 + a2 ((2 s) c cos g2 + (c c - s s) sin g2)
+            _, xx, xy, yx, yy, sc, s, c = pairs
+            cos1, sin1, cos2, sin2, a2 = harmonics
+            two = self._constants[3]
+            coupled, t = yx, xx
+            np.subtract(xy, yx, s)
+            np.add(xx, yy, c)
+            np.multiply(s, cos1, t)
+            np.multiply(c, sin1, xy)
+            np.add(t, xy, coupled)
+            np.multiply(s, two, t)
+            np.multiply(t, c, t)
+            np.multiply(t, cos2, t)
+            np.multiply(sc, sc, sc)
+            np.subtract(c, s, c)
+            np.multiply(c, sin2, c)
+            np.add(t, c, t)
+            np.multiply(t, a2, t)
+            np.add(coupled, t, coupled)
+        rate, sums = self._rate, self._sums
+        np.add.reduce(coupled, -1, None, sums)
+        np.multiply(self._gain, sums, rate)
+        np.add(rate, self._omega, rate)
+        np.multiply(swapped, rate, out)  # [y (-rate); x rate]
+
+    def step(self) -> None:
+        """Advance the state by one RK4 step of size h."""
+        y, stage, k = self.state, self._stage, self._k
+        k1, k2, k3, k4, k_mid = self._k_views
+        half_h, h, sixth_h, two = self._constants
+        on_state, on_stage = self._inputs
+        rhs = self._rhs
+        rhs(on_state, k1)
+        np.multiply(k1, half_h, stage)
+        np.add(y, stage, stage)
+        rhs(on_stage, k2)
+        np.multiply(k2, half_h, stage)
+        np.add(y, stage, stage)
+        rhs(on_stage, k3)
+        np.multiply(k3, h, stage)
+        np.add(y, stage, stage)
+        rhs(on_stage, k4)
+        np.multiply(k_mid, two, k_mid)
+        np.add.reduce(k, 0, None, stage)
+        np.multiply(stage, sixth_h, stage)
+        np.add(y, stage, y)
 
 
 def integrate_step(state, params, cfg: IntegratorConfig, duration: float) -> np.ndarray:
     """Integrate the component-form ODE for `duration` seconds.
 
-    The duration must be a whole number of substeps (cfg.dt / cfg.substeps).
-    A non-finite state raises NumericalBlowup with the 1-based number of the
-    substep that produced it.
+    `state` is (2N,) or a (..., 2N) batch of rows.  The duration must be a
+    whole number of substeps (cfg.dt / cfg.substeps).  A non-finite state
+    raises NumericalBlowup with the 1-based number of the substep that
+    produced it.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -376,13 +454,14 @@ def integrate_step(state, params, cfg: IntegratorConfig, duration: float) -> np.
     n = int(round(duration / h))
     if n < 1 or abs(n * h - duration) > 1e-9 * max(1.0, abs(duration)):
         raise ValueError("duration must be an integer multiple of the substep")
-    y = np.asarray(state, dtype=float)
-    f = lambda v: component_rhs(v, params)
+    state = np.asarray(state, dtype=float)
+    stepper = RK4Stepper(params, state.shape[:-1], h)
+    stepper.load(state)
     for i in range(n):
-        y = rk4_step(f, y, h)
-        if not np.all(np.isfinite(y)):
+        stepper.step()
+        if not np.isfinite(stepper.state).all():
             raise NumericalBlowup(i + 1)
-    return y
+    return stepper.components()
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +545,19 @@ def _integrate(params, state, cfg: IntegratorConfig, n_steps: int):
     out = np.empty(state.shape + (n_steps + 1,))
     out[..., 0] = state
     failed = np.zeros(state.shape[:-1], dtype=int)
-    h = cfg.dt / cfg.substeps_per_sample
-    f = lambda v: component_rhs(v, params)
+    stepper = RK4Stepper(params, state.shape[:-1], cfg.dt / cfg.substeps_per_sample)
+    stepper.load(state)
     # the finiteness check below catches every overflow, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             for _ in range(cfg.substeps_per_sample):
-                state = rk4_step(f, state, h)
-            state, ok = normalize_rows(state)
+                stepper.step()
+            ok = stepper.normalize()
             if not ok.all():
                 failed[(failed == 0) & ~ok] = k
                 if failed.all():
                     break
-            out[..., k] = state
+            stepper.store(out[..., k])
     return out, failed
 
 

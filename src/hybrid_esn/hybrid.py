@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    KuramotoParams,
-    RowParams,
-    component_rhs,
-    normalize_components,
-    normalize_rows,
-    rk4_step,
-)
+from .dynamics import KuramotoParams, RK4Stepper, RowParams
 from .reservoir import Readout, ReservoirMatrices
 
 __all__ = ["ExpertModel", "RowParams", "stack_experts", "Instantiation"]
@@ -30,34 +23,51 @@ __all__ = ["ExpertModel", "RowParams", "stack_experts", "Instantiation"]
 class ExpertModel:
     """One-step integrator of the (perturbed) Kuramoto model in component form.
 
-    States are (2N,) or an (S, 2N) batch of rows.  `calls` counts the rows
-    integrated; tests use it to pin the one-step-per-sample cost model.
+    States are (2N,) or a (..., 2N) batch of rows.  `calls` counts the rows
+    integrated; tests use it to pin the one-step-per-sample cost model.  The
+    RK4 stepper built for the last input shape is kept for the next call, so
+    one expert must not be stepped from two threads at once.
     """
 
     params: object  # KuramotoParams | BiHarmonicParams | RowParams
     dt: float = 0.1
     calls: int = field(default=0, compare=False)
+    _stepper: RK4Stepper | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _integrate(self, u) -> np.ndarray:
+    def _advance(self, u, keep=True):
+        """One normalized RK4 step of the rows of u: (stepper, ok) as `RK4Stepper.normalize`."""
         u = np.asarray(u, float)
         self.calls += u.size // u.shape[-1]
+        stepper = self._stepper
+        if (stepper is None or stepper.lead != u.shape[:-1] or stepper.params is not self.params
+                or stepper.h != self.dt):
+            stepper = RK4Stepper(self.params, u.shape[:-1], self.dt)
+            if keep:
+                self._stepper = stepper
+        stepper.load(u)
         # an overflowing expert is flagged by the callers, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            return rk4_step(lambda v: component_rhs(v, self.params), u, self.dt)
+            stepper.step()
+            return stepper, stepper.normalize()
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """Single RK4 step of size dt, renormalized to the unit circle."""
-        out = self._integrate(u)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("expert integration produced a non-finite state")
-        return normalize_components(out)
+        stepper, ok = self._advance(u)
+        if not ok.all():
+            if not np.isfinite(stepper.state).all():
+                raise FloatingPointError("expert integration produced a non-finite state")
+            raise ValueError("cannot normalize: component pair at the origin")
+        return stepper.components()
 
-    def step_rows(self, u: np.ndarray):
-        """`step` for an (S, 2N) batch that flags failed rows instead of raising.
+    def step_rows(self, u: np.ndarray, keep: bool = True):
+        """`step` for a (..., 2N) batch that flags failed rows instead of raising.
 
-        Returns (rows, ok) as `normalize_rows` does.
+        Returns (rows, ok) as `normalize_rows` does.  keep=False is for a
+        batch stepped once, such as teacher-forced inputs: its stepper, whose
+        buffers grow with the rows, is then not kept.
         """
-        return normalize_rows(self._integrate(u))
+        stepper, ok = self._advance(u, keep)
+        return stepper.components(), ok
 
 
 def stack_experts(experts, repeats: int) -> ExpertModel:

@@ -256,6 +256,12 @@ def nonlinear_transform(r: np.ndarray) -> np.ndarray:
     return out
 
 
+# Expert rows per teacher-forced call in `collect_states`.  The expert's
+# stepper holds about 2 N^2 doubles per row, so a block stays near 0.7 MB
+# at N = 10, where a whole 1000-sample training span raised the peak RSS.
+_TEACHER_ROWS = 256
+
+
 def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     """Drive the reservoir through a training span in feed-forward mode.
 
@@ -273,7 +279,15 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     for t in range(n_t):
         u = training[:, t]
         if expert is not None:
-            u_tilde = expert.step(u)
+            j = t % _TEACHER_ROWS
+            if j == 0:
+                # teacher forcing: the expert's inputs are known, so a block
+                # of steps is one batched call
+                tildes, ok = expert.step_rows(training[:, t:min(t + _TEACHER_ROWS, n_t)].T,
+                                              keep=False)
+            # a failed row raises at its own step, as `step` does, after any
+            # earlier CollectionError
+            u_tilde = tildes[j] if ok[j] else expert.step(u)
             r = update_state(r, np.concatenate([u_tilde, u]), m)
         else:
             r = update_state(r, u, m)

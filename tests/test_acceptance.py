@@ -16,9 +16,7 @@ from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
     integrate_step,
-    kuramoto_rhs,
     phases_to_components,
-    rk4_step,
     wrap_phases,
 )
 from hybrid_esn.evaluation import ForecastResult, SpanLayout, nmse_series, valid_time
@@ -33,6 +31,7 @@ from hybrid_esn.experiments import (
 )
 from hybrid_esn.io import write_metric_csv
 from hybrid_esn.reservoir import StateHistory, train_readout
+from oracle import kuramoto_rhs, rk4_step
 
 DESK_LAYOUT = SpanLayout(n_tests=5)
 THREADS = 8

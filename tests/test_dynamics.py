@@ -11,18 +11,16 @@ from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
     NumericalBlowup,
+    RK4Stepper,
     biharmonic_regime,
-    biharmonic_rhs,
-    component_rhs,
     components_to_phases,
     generate_trajectory,
     integrate_step,
-    kuramoto_rhs,
     normalize_components,
+    normalize_rows,
     perturb_params,
     phases_to_components,
     realize_regime,
-    rk4_step,
     sample_frequencies,
     simulate,
     simulate_batch,
@@ -30,6 +28,7 @@ from hybrid_esn.dynamics import (
 )
 from hybrid_esn.experiments import SeedScheme
 from hybrid_esn.hybrid import RowParams
+from oracle import biharmonic_rhs, component_rhs, kuramoto_rhs, rk4_step
 
 RNG = np.random.default_rng(1234)
 
@@ -175,6 +174,96 @@ class TestComponentRhs:
         batch = component_rhs(states, rows)
         for row, p, state in zip(batch, params, states):
             np.testing.assert_array_equal(row, component_rhs(state, p))
+
+
+def with_family(base, family):
+    """base itself, or a bi-harmonic model over it.
+
+    gamma2 is not the regimes' pi, whose sine is 1e-16: every harmonic term
+    must weigh in for a changed rounding to show.
+    """
+    if family == "standard":
+        return base
+    return BiHarmonicParams(base=base, gamma1=1.3, gamma2=0.9, second_harmonic_scale=0.2)
+
+
+def oracle_steps(params, state, h, n):
+    """n steps of the oracle's rk4_step(component_rhs), each result kept."""
+    out = []
+    for _ in range(n):
+        state = rk4_step(lambda v: component_rhs(v, params), state, h)
+        out.append(state)
+    return out
+
+
+def stepper_steps(params, state, h, n):
+    stepper = RK4Stepper(params, state.shape[:-1], h)
+    stepper.load(state)
+    out = []
+    for _ in range(n):
+        stepper.step()
+        out.append(stepper.components())
+    return out
+
+
+FAMILIES = ["standard", "biharmonic"]
+
+
+class TestRK4Stepper:
+    """The planar stepper performs the oracle's IEEE operations: equal bit for bit."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_single_state_equals_oracle(self, family, n):
+        rng = np.random.default_rng(n)
+        params = with_family(KuramotoParams(omega=rng.normal(size=n),
+                                            coupling=rng.uniform(0.5, 4.0)), family)
+        state = random_unit_state(n, rng)
+        for got, want in zip(stepper_steps(params, state, 0.05, 20),
+                             oracle_steps(params, state, 0.05, 20)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    @pytest.mark.parametrize("per_row_coupling", [False, True], ids=["scalar_K", "row_K"])
+    def test_row_batch_equals_oracle(self, family, n, per_row_coupling):
+        # RowParams rows, as (S, 2N) and under a second leading axis, equal
+        # the oracle on the batch and the 1-d stepper on each row
+        rng = np.random.default_rng(10 * n + per_row_coupling)
+        n_rows = 4
+        omega = rng.normal(size=(n_rows, n))
+        coupling = rng.uniform(0.5, 4.0, (n_rows, 1)) if per_row_coupling else 2.5
+        params = with_family(RowParams(omega=omega, coupling=coupling), family)
+        states = np.stack([random_unit_state(n, rng) for _ in range(3 * n_rows)])
+        for batch in (states[:n_rows], states.reshape(3, n_rows, 2 * n)):
+            got = stepper_steps(params, batch, 0.05, 12)
+            for g, w in zip(got, oracle_steps(params, batch, 0.05, 12)):
+                np.testing.assert_array_equal(g, w)
+        for row in range(n_rows):
+            k = coupling[row, 0] if per_row_coupling else coupling
+            single = with_family(KuramotoParams(omega=omega[row], coupling=k), family)
+            alone = stepper_steps(single, states[row], 0.05, 12)
+            np.testing.assert_array_equal(np.stack(alone), np.stack(got)[:, 0, row])
+
+    def test_normalize_flags_rows_as_normalize_rows(self):
+        rng = np.random.default_rng(6)
+        states = rng.normal(size=(5, 8))
+        states[1, 3] = np.inf
+        states[3, 4:6] = 0.0
+        stepper = RK4Stepper(RowParams(omega=np.zeros((5, 4)), coupling=1.0), (5,), 0.1)
+        stepper.load(states)
+        ok = stepper.normalize()
+        want, want_ok = normalize_rows(states)
+        np.testing.assert_array_equal(ok, want_ok)
+        np.testing.assert_array_equal(stepper.components(), want)
+
+    def test_shape_mismatch_rejected(self):
+        params = KuramotoParams(omega=np.zeros(2), coupling=1.0)
+        stepper = RK4Stepper(params, (), 0.1)
+        with pytest.raises(ValueError):
+            stepper.load(np.zeros(3))
+        with pytest.raises(ValueError):
+            stepper.load(np.zeros((2, 4)))
 
 
 class TestIntegrateStep:
@@ -354,6 +443,36 @@ class TestTrajectories:
         assert abs(y1[0] - np.exp(-0.01)) < 1e-11
 
 
+def loop_simulate(params, theta0, cfg, n_steps):
+    """simulate as a plain loop: the oracle's RK4 per substep, normalization per sample.
+
+    Returns (samples, k): k is 0, or the first sample whose state is not finite.
+    """
+    state = phases_to_components(theta0)
+    out = np.empty((state.size, n_steps + 1))
+    out[:, 0] = state
+    h = cfg.dt / cfg.substeps_per_sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            for _ in range(cfg.substeps_per_sample):
+                state = rk4_step(lambda v: component_rhs(v, params), state, h)
+            if not np.all(np.isfinite(state)):
+                return out, k
+            state = normalize_components(state)
+            out[:, k] = state
+    return out, 0
+
+
+@pytest.mark.parametrize("regime", [standard_regime("synchrony"),
+                                    biharmonic_regime("heteroclinic_cycles")],
+                         ids=["synchrony", "heteroclinic_cycles"])
+def test_simulate_equals_plain_loop(regime):
+    params, theta0 = realize_regime(regime, 17)
+    want, failed = loop_simulate(params, theta0, IntegratorConfig(), 40)
+    assert failed == 0
+    np.testing.assert_array_equal(simulate(params, theta0, IntegratorConfig(), 40), want)
+
+
 def sweep_draws(task, regime, master_seed, n):
     """The ground-truth (params, theta0) of sweep indices 0..n-1, as a sweep draws them."""
     scheme = SeedScheme(master_seed)
@@ -391,6 +510,7 @@ class TestSimulateBatch:
         with pytest.raises(NumericalBlowup) as err:
             simulate(*draws[0], cfg, 40)
         assert err.value.step == 1
+        assert loop_simulate(*draws[0], cfg, 40)[1] == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records, failed = simulate_batch([p for p, _ in draws], [t for _, t in draws],

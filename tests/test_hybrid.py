@@ -8,16 +8,17 @@ from hybrid_esn.dynamics import (
     KuramotoParams,
     generate_trajectory,
     integrate_step,
-    kuramoto_rhs,
+    normalize_components,
+    normalize_rows,
     perturb_params,
     phases_to_components,
     realize_regime,
-    rk4_step,
     simulate,
     standard_regime,
 )
 from hybrid_esn.hybrid import ExpertModel, Instantiation, stack_experts
 from hybrid_esn.reservoir import (
+    CollectionError,
     ReservoirConfig,
     ReservoirMatrices,
     Readout,
@@ -28,6 +29,8 @@ from hybrid_esn.reservoir import (
     train_readout,
 )
 import scipy.sparse
+from hybrid_esn.io import save_model
+from oracle import component_rhs, kuramoto_rhs, rk4_step
 
 
 class TestExpertModel:
@@ -80,6 +83,60 @@ class TestExpertModel:
             np.testing.assert_array_equal(ok, [False, False])
             with pytest.raises(FloatingPointError):
                 expert.step(u)
+
+    def test_step_and_step_rows_equal_oracle(self):
+        # one oracle RK4 step of size dt, then the normalization, bit for bit:
+        # for a single state, a batch of rows, and stacked per-row experts
+        rng = np.random.default_rng(12)
+        experts = [ExpertModel(KuramotoParams(omega=rng.uniform(-1, 1, 5),
+                                              coupling=rng.uniform(1, 4))) for _ in range(3)]
+
+        def oracle(params, u):
+            return rk4_step(lambda v: component_rhs(v, params), u, 0.1)
+
+        states = np.stack([phases_to_components(rng.uniform(-np.pi, np.pi, 5))
+                           for _ in range(6)])
+        for expert in experts:
+            for u in states:
+                np.testing.assert_array_equal(expert.step(u),
+                                              normalize_components(oracle(expert.params, u)))
+            rows, ok = expert.step_rows(states)
+            want, want_ok = normalize_rows(oracle(expert.params, states))
+            np.testing.assert_array_equal(rows, want)
+            np.testing.assert_array_equal(ok, want_ok)
+        stacked = stack_experts(experts, 2)
+        rows, ok = stacked.step_rows(states)
+        assert ok.all()
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(row, experts[i // 2].step(states[i]))
+        np.testing.assert_array_equal(stacked.step(states), rows)
+
+    def test_stepper_follows_shape_and_params(self):
+        # the kept stepper is rebuilt when the input shape or the parameters change
+        rng = np.random.default_rng(13)
+        p1 = KuramotoParams(omega=rng.uniform(-1, 1, 3), coupling=2.0)
+        p2 = KuramotoParams(omega=rng.uniform(-1, 1, 3), coupling=3.0)
+        u = phases_to_components(rng.uniform(-np.pi, np.pi, 3))
+        expert = ExpertModel(p1)
+        first = expert.step(u)
+        np.testing.assert_array_equal(expert.step(np.stack([u, u]))[1], first)
+        expert.params = p2
+        np.testing.assert_array_equal(expert.step(u), ExpertModel(p2).step(u))
+        expert.dt = 0.05
+        np.testing.assert_array_equal(expert.step(u), ExpertModel(p2, dt=0.05).step(u))
+
+    def test_stepper_outside_eq_repr_and_dump(self, tmp_path):
+        params = KuramotoParams(omega=np.array([0.3, -0.2]), coupling=1.5)
+        used, fresh = ExpertModel(params), ExpertModel(params)
+        used.step(phases_to_components([0.1, 0.7]))
+        assert used._stepper is not None and fresh._stepper is None
+        assert used == fresh
+        fresh.calls = used.calls  # the counter is in the repr; the stepper is not
+        assert repr(used) == repr(fresh)
+        m = build_matrices(ReservoirConfig(size=12), 4, True, 1, 2)
+        for name, expert in (("used", used), ("fresh", fresh)):
+            save_model(tmp_path / name, Instantiation(m, Readout(np.zeros((4, 16))), expert))
+        assert (tmp_path / "used").read_bytes() == (tmp_path / "fresh").read_bytes()
 
     def test_output_unit_circle(self):
         rng = np.random.default_rng(4)
@@ -149,6 +206,35 @@ class TestHybridTraining:
         expert = ExpertModel(params)
         collect_states(traj[:, :201], m, expert=expert)
         assert expert.calls == 200
+
+    def test_teacher_forced_blocks_equal_per_step_expert(self, sync_setup):
+        # across the blocks of batched expert calls, the expert features are
+        # those of a per-step expert and each sample counts one call
+        params, traj = sync_setup
+        m = build_matrices(ReservoirConfig(size=40), 10, True, 1, 2)
+        expert = ExpertModel(params)
+        history, _ = collect_states(traj[:, :601], m, expert=expert)
+        assert expert.calls == 600
+        per_step = ExpertModel(params)
+        want = np.stack([per_step.step(traj[:, t]) for t in range(600)], axis=1)
+        np.testing.assert_array_equal(history.features[:10], want)
+
+    @pytest.mark.parametrize("bad, error", [((0.0, 0.0), ValueError),
+                                            ((np.inf, 0.0), FloatingPointError)],
+                             ids=["origin_pair", "non_finite"])
+    def test_expert_failure_raised_at_its_step(self, sync_setup, bad, error):
+        # the teacher-forced expert runs all rows in one call, yet a failed row
+        # raises what a per-step expert raises, and an earlier CollectionError wins
+        params, traj = sync_setup
+        training = traj[:, :11].copy()
+        training[:2, 3] = bad
+        m = build_matrices(ReservoirConfig(size=30), 10, True, 1, 2)
+        with pytest.raises(error):
+            collect_states(training, m, expert=ExpertModel(params))
+        broken = ReservoirMatrices(internal=m.internal * np.nan, input=m.input)
+        with pytest.raises(CollectionError) as err:
+            collect_states(training, broken, expert=ExpertModel(params))
+        assert err.value.step == 0
 
     def test_perfect_expert_low_training_error(self, sync_setup):
         # with the true parameters the expert's one-step prediction is nearly
