@@ -21,8 +21,8 @@ manifest = RunManifest(task="parameter_error", regimes=("synchrony",),
                        master_seed=1)
 sweep = SweepSpec("sigma_k", (0.0, 0.05, 0.1, 0.2))
 
-per_point, summary, errors = run_sweep(manifest, sweep, Baselines(),
-                                       threads=4, progress=print)
+per_point, summary, errors = run_sweep(manifest, sweep, Baselines(), threads=4,
+                                       on_point=lambda key, records, status: print(status))
 assert not errors
 
 out = Path("demo_sweep")

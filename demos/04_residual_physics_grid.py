@@ -20,8 +20,8 @@ manifest = RunManifest(task="residual_physics", regimes=("heteroclinic_cycles",)
                        n_instantiations=2, n_realizations=1, layout=layout,
                        master_seed=0)
 
-per_point, summary, errors = run_grid_search(manifest, Baselines(), threads=4,
-                                             progress=print)
+per_point, summary, errors = run_grid_search(
+    manifest, Baselines(), threads=4, on_point=lambda key, records, status: print(status))
 assert not errors
 
 best = defaultdict(lambda: (None, -1.0))

@@ -8,7 +8,9 @@ The HYBRID_ESN_SEED environment variable overrides the config master seed.
 from __future__ import annotations
 
 import json
+import os
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from .evaluation import ForecastResult, mean_nmse, segment, valid_time
 from .experiments import (
     SeedScheme,
     aggregate_report,
+    check_grid_regimes,
     regime_spec,
     run_grid_search,
     run_sweep,
@@ -44,12 +47,12 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _ground_truth(cfg, regime):
-    """(params, theta0, record) of the regime's realization 0 under the config's seed."""
+def _ground_truth(cfg, regime, n_steps):
+    """(params, theta0, record of n_steps) of realization 0 under the config's seed."""
     spec = regime_spec(cfg.task, regime)  # raises ValueError on an unknown regime
     rng = SeedScheme(cfg.master_seed).stream(cfg.task, regime, 0, 0, 0, "ground_truth")
     params, theta0 = realize_regime(spec, rng)
-    return params, theta0, simulate(params, theta0, cfg.integrator, cfg.layout.total_steps)
+    return params, theta0, simulate(params, theta0, cfg.integrator, n_steps)
 
 
 @click.group()
@@ -68,7 +71,7 @@ def generate(config_path, regime, seed, out_path):
     if seed is not None:
         cfg = type(cfg)(**{**cfg.__dict__, "master_seed": seed})
     try:
-        params, theta0, trajectory = _ground_truth(cfg, regime)
+        params, theta0, trajectory = _ground_truth(cfg, regime, cfg.layout.total_steps)
     except ValueError as exc:
         _fail(str(exc))
     except NumericalBlowup as exc:
@@ -105,7 +108,7 @@ def _train_one(cfg, regime, model_kind):
     if model_kind not in ("standard", "hybrid"):
         _fail(f"unknown model {model_kind!r}; valid: standard, hybrid")
     try:
-        params, _, record = _ground_truth(cfg, regime)
+        params, _, record = _ground_truth(cfg, regime, cfg.layout.needed_samples - 1)
         training, spans = segment(record, cfg.layout)
         ctx = dict(task=cfg.task, regime=regime, realization=0, sweep_index=0, instantiation=0)
         model = train_instantiation(cfg.manifest(), model_kind, cfg.baselines,
@@ -160,29 +163,68 @@ def forecast_cmd(config_path, regime, model_kind, span, out_path):
     click.echo(f"mean_nmse={mean_nmse(fr):.9g} valid_time_s={valid_time(fr, cfg.epsilon):.9g}")
 
 
+def _write_atomically(path: Path, write, *args) -> None:
+    """`write(temp path, *args)`, then rename the temp file to `path`; exits 2 on an OSError.
+
+    The temp name ends in `.part`, never `.csv`, so a reader globbing the
+    directory sees only whole files; an interrupt or a failed write removes it.
+    """
+    part = path.with_name(path.name + ".part")
+    try:
+        write(part, *args)
+        os.replace(part, path)
+    except BaseException as exc:
+        part.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            _fail(f"cannot write {path}: {exc.strerror or exc}")
+        raise
+
+
 def _run_experiment(cfg, threads, out_dir, grid: bool):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = cfg.manifest()
-    progress = lambda line: click.echo(line)
+    """Run the sweep or grid, writing each point's metric CSV as soon as the point ends."""
+    if threads is not None and threads < 1:
+        _fail(f"--threads must be >= 1, got {threads}")
+    threads = cfg.threads if threads is None else threads
     if grid:
-        per_point, summary, errors = run_grid_search(
-            manifest, cfg.baselines, threads=threads, progress=progress)
-        name = lambda key: f"grid_{key}.csv"
+        try:
+            check_grid_regimes(cfg.regimes)
+        except ValueError as exc:
+            _fail(str(exc))
+        stem = lambda key: f"grid_{key}"
+    elif cfg.sweep is None:
+        _fail("config has no sweep section")
     else:
-        if cfg.sweep is None:
-            _fail("config has no sweep section")
-        per_point, summary, errors = run_sweep(
-            manifest, cfg.sweep, cfg.baselines, models=cfg.models,
-            threads=threads, progress=progress)
-        name = lambda key: f"{cfg.sweep.parameter}_{key:g}.csv"
-    for key, records in per_point.items():
+        stem = lambda key: f"{cfg.sweep.parameter}_{key:g}"
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=out).close()
+    except OSError as exc:
+        _fail(f"cannot write to output directory {out}: {exc.strerror or exc}")
+    finished = []
+
+    def on_point(key, records, status):
+        name = stem(key)
         if records:
-            hio.write_metric_csv(out / name(key), records)
-    if summary:
-        write_summary_csv(out / "summary.csv", summary)
-    write_run_log(out / "run_log.json", manifest,
-                  extra={"threads": threads, "mode": "grid" if grid else "sweep"})
+            _write_atomically(out / f"{name}.csv", hio.write_metric_csv, records)
+        finished.append(name)
+        click.echo(status)
+
+    manifest = cfg.manifest()
+    try:
+        if grid:
+            _, summary, errors = run_grid_search(
+                manifest, cfg.baselines, threads=threads, on_point=on_point)
+        else:
+            _, summary, errors = run_sweep(
+                manifest, cfg.sweep, cfg.baselines, models=cfg.models,
+                threads=threads, on_point=on_point)
+        if summary:
+            _write_atomically(out / "summary.csv", write_summary_csv, summary)
+        _write_atomically(out / "run_log.json", write_run_log, manifest,
+                          {"threads": threads, "mode": "grid" if grid else "sweep"})
+    except KeyboardInterrupt:
+        _fail(f"interrupted; finished points in {out}: {', '.join(finished) or 'none'}", 3)
     if errors:
         for err in errors:
             click.echo(f"point failed: {err}", err=True)
@@ -198,7 +240,7 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
 def sweep(config_path, threads, out_dir):
     """Run the config's parameter sweep across all model arms."""
     cfg = _load(config_path)
-    _run_experiment(cfg, threads or cfg.threads, out_dir or cfg.output_dir, grid=False)
+    _run_experiment(cfg, threads, out_dir or cfg.output_dir, grid=False)
 
 
 @main.command()
@@ -208,7 +250,7 @@ def sweep(config_path, threads, out_dir):
 def grid(config_path, threads, out_dir):
     """Run the 8-corner grid search (standard and hybrid arms)."""
     cfg = _load(config_path)
-    _run_experiment(cfg, threads or cfg.threads, out_dir or cfg.output_dir, grid=True)
+    _run_experiment(cfg, threads, out_dir or cfg.output_dir, grid=True)
 
 
 @main.command()

@@ -52,6 +52,11 @@ class SpanLayout:
         return (self.training + self.train_test_gap
                 + self.n_tests * (self.warmup + self.test + self.test_test_gap))
 
+    @property
+    def needed_samples(self) -> int:
+        """Samples `segment` reads: the record up to the end of the last test span."""
+        return self.total_steps - self.test_test_gap
+
 
 @dataclass(frozen=True)
 class ForecastResult:
@@ -90,7 +95,7 @@ def segment(record: np.ndarray, layout: SpanLayout):
     `layout.training` next-step transitions.  Warm-up k starts at step
     training + train_test_gap + k*(warmup + test + test_test_gap).
     """
-    needed = layout.total_steps - layout.test_test_gap
+    needed = layout.needed_samples
     if record.ndim != 2 or record.shape[1] < needed:
         raise ValueError(
             f"record has {record.shape[1]} samples; layout requires at least {needed}"

@@ -52,6 +52,7 @@ __all__ = [
     "run_shared_procedure",
     "run_sweep",
     "run_grid_search",
+    "check_grid_regimes",
     "aggregate_report",
 ]
 
@@ -216,10 +217,11 @@ def regime_spec(task: str, name: str) -> RegimeSpec:
 def _integrate_ground_truths(manifest, regime_name, sweep_indices, cache) -> None:
     """Integrate the ground truth of every (sweep index, realization) of one regime in one call.
 
-    Each record draws its parameters from its own ground-truth stream and
-    goes into `cache` under (task, regime, realization, sweep index) as
-    (record, base params), or as the NumericalBlowup it raised, which every
-    arm reading it then raises in turn.
+    Each record draws its parameters from its own ground-truth stream, ends
+    at the last sample that `segment` reads, and goes into `cache` under
+    (task, regime, realization, sweep index) as (record, base params), or as
+    the NumericalBlowup it raised, which every arm reading it then raises in
+    turn.
     """
     scheme = SeedScheme(manifest.master_seed)
     regime = regime_spec(manifest.task, regime_name)
@@ -228,7 +230,7 @@ def _integrate_ground_truths(manifest, regime_name, sweep_indices, cache) -> Non
     draws = [realize_regime(regime, scheme.stream(task, name, realization, idx))
              for task, name, realization, idx in keys]
     records, failed = simulate_batch([p for p, _ in draws], [t for _, t in draws],
-                                     manifest.integrator, manifest.layout.total_steps)
+                                     manifest.integrator, manifest.layout.needed_samples - 1)
     for key, (base_params, _), record, step in zip(keys, draws, records, failed):
         cache[key] = NumericalBlowup(int(step)) if step else (record, base_params)
 
@@ -423,84 +425,80 @@ def aggregate_report(records) -> list:
     return rows
 
 
-def run_sweep(manifest: RunManifest, sweep: SweepSpec, baselines: Baselines = Baselines(),
-              models=("standard", "hybrid", "ode"), threads: int = 1,
-              progress=None):
-    """Run every sweep point for every regime and model arm.
+def _run_points(manifest, points, models, threads, on_point):
+    """The one point loop of sweeps and the grid: every (point, regime, arm) in turn.
 
-    Every point's ground truth of a regime is integrated in one batched call
-    before any arm runs, and the RC arms of a point share each
-    instantiation's internal matrix.  Returns (records grouped per point,
-    summary rows, errors): a failed point or arm adds an error tuple and the
-    sweep goes on, so completed points survive; `progress` (if given) is
-    called with a status line per point.
+    `points` holds (key, baselines, param name, param value, status label,
+    error prefix) per point.  Every point's ground truth of a regime is
+    integrated in one batched call before any arm runs, and the RC arms of a
+    point share each instantiation's internal matrix.  A failed arm adds
+    (*error prefix, regime, arm, exception) to the errors and the loop goes
+    on.  `on_point` (if given) is called as each point finishes with its
+    key, its records and a status line.
     """
     cache: dict = {}
     for regime_name in manifest.regimes:
-        _integrate_ground_truths(manifest, regime_name, range(len(sweep.values)), cache)
+        _integrate_ground_truths(manifest, regime_name, range(len(points)), cache)
     per_point = {}
     errors = []
-    for idx, value in enumerate(sweep.values):
-        point_baselines = baselines.with_param(sweep.parameter, value)
+    for idx, (key, point_baselines, name, value, label, error_prefix) in enumerate(points):
         point_records = []
         for regime_name in manifest.regimes:
             for model_kind in models:
                 try:
                     point_records.extend(run_shared_procedure(
                         manifest, model_kind, point_baselines, regime_name,
-                        sweep_name=sweep.parameter, sweep_value=value,
-                        sweep_index=idx, threads=threads,
-                        ground_truth_cache=cache,
+                        sweep_name=name, sweep_value=value, sweep_index=idx,
+                        threads=threads, ground_truth_cache=cache,
                     ))
-                except Exception as exc:  # noqa: BLE001 - sweep must outlive point failures
-                    errors.append((sweep.parameter, value, regime_name, model_kind, exc))
-        per_point[value] = point_records
-        if progress is not None:
-            progress(f"sweep {sweep.parameter}={value:g}: {len(point_records)} records")
+                except Exception as exc:  # noqa: BLE001 - the run must outlive point failures
+                    errors.append((*error_prefix, regime_name, model_kind, exc))
+        per_point[key] = point_records
+        if on_point is not None:
+            on_point(key, point_records, f"{label}: {len(point_records)} records")
     all_records = [r for recs in per_point.values() for r in recs]
     summary = aggregate_report(all_records) if all_records else []
     return per_point, summary, errors
 
 
-def run_grid_search(manifest: RunManifest, baselines: Baselines = Baselines(),
-                    threads: int = 1, progress=None):
-    """Standard and hybrid arms at all 8 grid corners, per regime.
+def run_sweep(manifest: RunManifest, sweep: SweepSpec, baselines: Baselines = Baselines(),
+              models=("standard", "hybrid", "ode"), threads: int = 1,
+              on_point=None):
+    """Run every sweep point for every regime and model arm.
 
-    As in `run_sweep`, every corner's ground truth of a regime is integrated
-    in one batched call first, and the two arms of a corner share each
-    instantiation's internal matrix.
+    Returns (records per sweep value, summary rows, errors): a failed point
+    or arm adds a (parameter, value, regime, arm, exception) tuple and the
+    sweep goes on, so completed points survive.  `on_point(value, records,
+    status line)` (if given) is called as each point finishes.
     """
-    for regime_name in manifest.regimes:
+    points = [(value, baselines.with_param(sweep.parameter, value), sweep.parameter, value,
+               f"sweep {sweep.parameter}={value:g}", (sweep.parameter, value))
+              for value in sweep.values]
+    return _run_points(manifest, points, models, threads, on_point)
+
+
+def check_grid_regimes(regimes) -> None:
+    """Raise ValueError for a regime outside GRID_REGIMES."""
+    for regime_name in regimes:
         if regime_name not in GRID_REGIMES:
             raise ValueError(
                 f"grid search regime {regime_name!r} not in {GRID_REGIMES} "
                 "(the asynchronous regime is excluded)"
             )
-    cache: dict = {}
-    for regime_name in manifest.regimes:
-        _integrate_ground_truths(manifest, regime_name, range(len(GRID_POINTS)), cache)
-    per_point = {}
-    errors = []
-    for idx, point in enumerate(GRID_POINTS):
-        point_baselines = point.apply(baselines)
-        point_records = []
-        for regime_name in manifest.regimes:
-            for model_kind in ("standard", "hybrid"):
-                try:
-                    point_records.extend(run_shared_procedure(
-                        manifest, model_kind, point_baselines, regime_name,
-                        sweep_name=f"grid_{point.label}", sweep_value=float(idx),
-                        sweep_index=idx, threads=threads,
-                        ground_truth_cache=cache,
-                    ))
-                except Exception as exc:  # noqa: BLE001
-                    errors.append((point.label, regime_name, model_kind, exc))
-        per_point[point.label] = point_records
-        if progress is not None:
-            progress(f"grid point {point.label}: {len(point_records)} records")
-    all_records = [r for recs in per_point.values() for r in recs]
-    summary = aggregate_report(all_records) if all_records else []
-    return per_point, summary, errors
+
+
+def run_grid_search(manifest: RunManifest, baselines: Baselines = Baselines(),
+                    threads: int = 1, on_point=None):
+    """Standard and hybrid arms at all 8 grid corners, per regime.
+
+    As `run_sweep`, keyed by corner label, with (label, regime, arm,
+    exception) error tuples.
+    """
+    check_grid_regimes(manifest.regimes)
+    points = [(point.label, point.apply(baselines), f"grid_{point.label}", float(idx),
+               f"grid point {point.label}", (point.label,))
+              for idx, point in enumerate(GRID_POINTS)]
+    return _run_points(manifest, points, ("standard", "hybrid"), threads, on_point)
 
 
 def write_run_log(path, manifest: RunManifest, extra: dict | None = None) -> None:

@@ -1,10 +1,13 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hybrid_esn import experiments
+from hybrid_esn import io as hio
 from hybrid_esn.cli import main
 from hybrid_esn.config import SCHEMA_VERSION, load_config
 from hybrid_esn.evaluation import segment
@@ -322,3 +325,109 @@ class TestSweepGridReport:
         empty.mkdir()
         result = runner.invoke(main, ["report", "--in", str(empty)])
         assert result.exit_code == 2
+
+
+class TestStreamedPoints:
+    """Each sweep point's metric CSV lands as the point ends; an interrupt keeps it."""
+
+    SWEEP = {"parameter": "sigma_k", "values": [0.0, 0.1]}
+
+    def run_sweep_cmd(self, runner, tmp_path, out):
+        cfg = write_config(tmp_path, sweep=self.SWEEP, models=["standard", "ode"])
+        return runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out)])
+
+    def hook_point_2(self, monkeypatch, hook):
+        """Call `hook()` when the first arm of the second point starts."""
+        real = experiments.run_shared_procedure
+
+        def hooked(*args, sweep_index=0, **kwargs):
+            if sweep_index == 1:
+                hook()
+            return real(*args, sweep_index=sweep_index, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_shared_procedure", hooked)
+
+    def test_point_1_csv_complete_before_point_2_starts(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        snapshots = []
+
+        def snapshot():
+            if not snapshots:
+                snapshots.append(({p.name for p in out.iterdir()},
+                                  (out / "sigma_k_0.csv").read_bytes()))
+
+        self.hook_point_2(monkeypatch, snapshot)
+        result = self.run_sweep_cmd(runner, tmp_path, out)
+        assert result.exit_code == 0, result.output
+        names, point_1 = snapshots[0]
+        assert names == {"sigma_k_0.csv"}  # no temp file, nothing of point 2
+        assert point_1 == (out / "sigma_k_0.csv").read_bytes()
+        assert len(read_metric_csv(out / "sigma_k_0.csv")) == 2 * 1 * 2
+
+    def test_interrupt_after_point_1_exits_3(self, runner, tmp_path, monkeypatch):
+        full = tmp_path / "full"
+        assert self.run_sweep_cmd(runner, tmp_path, full).exit_code == 0
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.hook_point_2(monkeypatch, interrupt)
+        out = tmp_path / "out"
+        result = self.run_sweep_cmd(runner, tmp_path, out)
+        assert result.exit_code == 3, result.output
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: interrupted; finished points in {out}: sigma_k_0"]
+        assert [p.name for p in out.iterdir()] == ["sigma_k_0.csv"]
+        assert (out / "sigma_k_0.csv").read_bytes() == (full / "sigma_k_0.csv").read_bytes()
+
+    def test_interrupt_inside_csv_write_leaves_no_temp_file(self, runner, tmp_path,
+                                                              monkeypatch):
+        def torn_write(path, records):
+            Path(path).write_text(hio.METRIC_CSV_HEADER + "\n")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(hio, "write_metric_csv", torn_write)
+        out = tmp_path / "out"
+        result = self.run_sweep_cmd(runner, tmp_path, out)
+        assert result.exit_code == 3, result.output
+        assert result.output.splitlines() == [
+            f"error: interrupted; finished points in {out}: none"]
+        assert list(out.iterdir()) == []
+
+
+def bad_out_file(tmp_path):
+    (tmp_path / "taken").write_text("not a directory\n")
+    return ["--out", str(tmp_path / "taken")]
+
+
+def bad_out_below_file(tmp_path):
+    (tmp_path / "taken").write_text("not a directory\n")
+    return ["--out", str(tmp_path / "taken" / "results")]
+
+
+@pytest.mark.parametrize("command, config, extra, fragment", [
+    ("sweep", {}, bad_out_file, "taken"),
+    ("grid", {"grid": True}, bad_out_file, "taken"),
+    ("sweep", {}, bad_out_below_file, "taken/results"),
+    ("grid", {"grid": True, "regimes": ["asynchrony"]}, lambda p: [], "'asynchrony'"),
+    ("sweep", {}, lambda p: ["--threads", "0"], "--threads must be >= 1"),
+    ("grid", {"grid": True}, lambda p: ["--threads", "-2"], "--threads must be >= 1"),
+], ids=["sweep_out_is_file", "grid_out_is_file", "out_below_file", "grid_regime",
+        "threads_0", "threads_negative"])
+def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, config,
+                                        extra, fragment):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("ground truth integrated")
+
+    monkeypatch.setattr(experiments, "simulate_batch", no_integration)
+    if command == "sweep":
+        config = {"sweep": {"parameter": "sigma_k", "values": [0.0]}, **config}
+    cfg = write_config(tmp_path, **config)
+    argv = [command, "--config", str(cfg), *extra(tmp_path)]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    result = runner.invoke(main, argv)
+    assert_one_line_error(result, 2, fragment)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "o").exists()

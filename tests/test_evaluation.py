@@ -20,6 +20,7 @@ class TestSpanLayout:
     def test_full_scale_totals(self):
         layout = SpanLayout()
         assert layout.total_steps == 62_000
+        assert layout.needed_samples == 61_600  # the last test span ends 400 steps early
         assert layout.n_tests == 20
 
     def test_rejects_nonpositive_fields(self):

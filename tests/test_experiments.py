@@ -354,6 +354,58 @@ class TestSweepAndGrid:
                 sweep_name="regularization", sweep_value=1e-4, sweep_index=1))
         assert per_point[1e-4] == direct
 
+    def test_on_point_sees_each_point_as_it_finishes(self, monkeypatch):
+        # the callback of point k runs before any arm of point k + 1 starts
+        events = []
+        real = experiments.run_shared_procedure
+
+        def logged(manifest, model_kind, *args, sweep_index=0, **kwargs):
+            events.append(("arm", sweep_index, model_kind))
+            return real(manifest, model_kind, *args, sweep_index=sweep_index, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_shared_procedure", logged)
+        man = tiny_manifest(regimes=("synchrony", "asynchrony"))
+        seen = {}
+
+        def on_point(key, records, status):
+            events.append(("point", key))
+            seen[key] = (records, status)
+
+        per_point, _, errors = run_sweep(man, SweepSpec("sigma_k", (0.0, 0.1)),
+                                         tiny_baselines(), models=("standard", "ode"),
+                                         on_point=on_point)
+        assert errors == []
+
+        def arms(idx):
+            return [("arm", idx, model) for _ in man.regimes for model in ("standard", "ode")]
+
+        assert events == [*arms(0), ("point", 0.0), *arms(1), ("point", 0.1)]
+        assert {key: recs for key, (recs, _) in seen.items()} == per_point
+        assert seen[0.1][1] == f"sweep sigma_k=0.1: {len(per_point[0.1])} records"
+        labels = []
+        man = tiny_manifest(task="residual_physics", n_instantiations=1)
+        run_grid_search(man, tiny_baselines(),
+                        on_point=lambda key, records, status: labels.append(status))
+        assert labels == [f"grid point {p.label}: {2 * TINY.n_tests} records"
+                          for p in GRID_POINTS]
+
+    def test_ground_truth_ends_at_last_sample_read(self):
+        # the batched sweep record is the prefix of the full-length record
+        # that segment reads; the trailing test-test gap is not integrated
+        man = tiny_manifest(task="residual_physics", regimes=("heteroclinic_cycles",),
+                            n_realizations=2)
+        cache = {}
+        experiments._integrate_ground_truths(man, "heteroclinic_cycles", [0, 1], cache)
+        scheme = SeedScheme(man.master_seed)
+        for (task, regime, realization, idx), (record, base) in cache.items():
+            params, theta0 = realize_regime(regime_spec(task, regime),
+                                            scheme.stream(task, regime, realization, idx))
+            full = simulate(params, theta0, man.integrator, TINY.total_steps)
+            assert record.shape == (full.shape[0], TINY.needed_samples)
+            assert TINY.needed_samples == full.shape[1] - TINY.test_test_gap - 1
+            assert np.array_equal(record, full[:, :TINY.needed_samples])
+            assert np.array_equal(segment(record, TINY)[1][-1][1], segment(full, TINY)[1][-1][1])
+
     def test_run_log_round_trips(self, tmp_path):
         man = tiny_manifest()
         path = tmp_path / "run_log.json"
