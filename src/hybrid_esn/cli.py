@@ -1,7 +1,8 @@
 """Config-driven command line front end.
 
 Commands: generate | train | forecast | sweep | grid | report.
-Exit codes: 0 success, 2 usage/config error, 3 partial experiment failure.
+Exit codes: 0 success, 2 usage/config error, 3 partial experiment failure
+(or a sweep or grid stopped by SIGINT or SIGTERM).
 The HYBRID_ESN_SEED environment variable overrides the config master seed.
 """
 
@@ -9,9 +10,11 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import sys
 import tempfile
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -99,25 +102,27 @@ def generate(config_path, regime, seed, out_path):
     click.echo(f"wrote {out_path} ({cfg.layout.total_steps + 1} samples) and {meta_path}")
 
 
-def _train_one(cfg, regime, model_kind):
+def _train_one(cfg, regime, model_kind, n_steps):
     """Instantiation 0 of the regime's realization 0, trained by the experiments' builder.
 
-    Returns (model, test spans).  Exits 2 on a bad regime, model or
-    regularization and 3 when the ground truth or the training run fails.
+    The ground truth is integrated for `n_steps` steps only, which must
+    cover the training span.  Returns (model, ground-truth record).  Exits 2
+    on a bad regime, model or regularization and 3 when the ground truth or
+    the training run fails.
     """
     if model_kind not in ("standard", "hybrid"):
         _fail(f"unknown model {model_kind!r}; valid: standard, hybrid")
     try:
-        params, _, record = _ground_truth(cfg, regime, cfg.layout.needed_samples - 1)
-        training, spans = segment(record, cfg.layout)
+        params, _, record = _ground_truth(cfg, regime, n_steps)
         ctx = dict(task=cfg.task, regime=regime, realization=0, sweep_index=0, instantiation=0)
         model = train_instantiation(cfg.manifest(), model_kind, cfg.baselines,
-                                    SeedScheme(cfg.master_seed), training, params, {}, ctx)
+                                    SeedScheme(cfg.master_seed),
+                                    record[:, :cfg.layout.training + 1], params, {}, ctx)
     except (ValueError, ReadoutTrainingError) as exc:
         _fail(str(exc))
     except (NumericalBlowup, CollectionError, FloatingPointError) as exc:
         _fail(str(exc), 3)
-    return model, spans
+    return model, record
 
 
 @main.command()
@@ -128,7 +133,7 @@ def _train_one(cfg, regime, model_kind):
 def train(config_path, regime, model_kind, out_path):
     """Train one reservoir instantiation and save the (A, B, C) model dump."""
     cfg = _load(config_path)
-    model, _ = _train_one(cfg, regime, model_kind)
+    model, _ = _train_one(cfg, regime, model_kind, cfg.layout.training)
     try:
         hio.save_model(out_path, model)
     except OSError as exc:
@@ -145,10 +150,11 @@ def train(config_path, regime, model_kind, out_path):
 def forecast_cmd(config_path, regime, model_kind, span, out_path):
     """Train one instantiation, forecast one test span, and report metrics."""
     cfg = _load(config_path)
-    model, spans = _train_one(cfg, regime, model_kind)
-    if not (0 <= span < len(spans)):
-        _fail(f"span must be in [0, {len(spans) - 1}]")
-    warmup, test = spans[span]
+    if not (0 <= span < cfg.layout.n_tests):
+        _fail(f"span must be in [0, {cfg.layout.n_tests - 1}]")
+    layout = replace(cfg.layout, n_tests=span + 1)  # the record ends with this span's test
+    model, record = _train_one(cfg, regime, model_kind, layout.needed_samples - 1)
+    warmup, test = segment(record, layout)[1][span]
     try:
         preds = rc_forecast(warmup, test.shape[1], model.matrices, model.readout,
                             expert=model.expert)
@@ -178,6 +184,11 @@ def _write_atomically(path: Path, write, *args) -> None:
         if isinstance(exc, OSError):
             _fail(f"cannot write {path}: {exc.strerror or exc}")
         raise
+
+
+def _interrupt(signum, frame):
+    """SIGTERM handler: stop a sweep or grid as Ctrl-C does."""
+    raise KeyboardInterrupt
 
 
 def _run_experiment(cfg, threads, out_dir, grid: bool):
@@ -211,6 +222,7 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
         click.echo(status)
 
     manifest = cfg.manifest()
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         if grid:
             _, summary, errors = run_grid_search(
@@ -225,6 +237,8 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
                           {"threads": threads, "mode": "grid" if grid else "sweep"})
     except KeyboardInterrupt:
         _fail(f"interrupted; finished points in {out}: {', '.join(finished) or 'none'}", 3)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if errors:
         for err in errors:
             click.echo(f"point failed: {err}", err=True)

@@ -76,8 +76,9 @@ class ExperimentConfig:
         for model in self.models:
             if model not in ("standard", "hybrid", "ode"):
                 raise ConfigError(f"unknown model arm {model!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
+            raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
+        self.manifest()  # validates the replication counts and the dt rule
 
     def manifest(self) -> RunManifest:
         return RunManifest(

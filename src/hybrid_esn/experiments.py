@@ -9,6 +9,7 @@ provably distinct streams and any of them may run in parallel.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -197,8 +198,15 @@ class RunManifest:
     def __post_init__(self):
         if self.task not in _TASK_IDS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.n_instantiations < 1 or self.n_realizations < 1:
-            raise ValueError("replication counts must be >= 1")
+        for name in ("n_instantiations", "n_realizations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.layout.dt != self.integrator.dt:
+            # the expert steps the layout's dt between samples that are
+            # integrated the integrator's dt apart
+            raise ValueError(f"layout dt {self.layout.dt:g} must equal integrator dt "
+                             f"{self.integrator.dt:g}")
         object.__setattr__(self, "regimes", tuple(self.regimes))
         for regime in self.regimes:
             regime_spec(self.task, regime)  # validates the name

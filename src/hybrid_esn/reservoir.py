@@ -9,6 +9,7 @@ back in.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,18 +299,15 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     return StateHistory(features=features), training[:, 1:]
 
 
-def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
-    """Closed-form ridge regression: C = Y Phi^T (Phi Phi^T + beta I)^-1.
+# Held from the Gram matrix's product through the solve, so that a process
+# holds one Gram matrix at a time (72 MB at size 3000).  Concurrent fits
+# under serial BLAS gained no time on a 2-core machine; the pool's threads
+# still overlap their matrix builds and state collection with a fit.
+_FIT_LOCK = threading.Lock()
 
-    Solved through a symmetric positive-definite factorization of the Gram
-    matrix, in place; no explicit inverse and no second Gram matrix is formed.
-    """
-    if beta < 0:
-        raise ValueError("regularization must be >= 0")
-    phi = history.features if isinstance(history, StateHistory) else np.asarray(history)
-    y = np.asarray(targets)
-    if phi.shape[1] != y.shape[1]:
-        raise ValueError("history and targets disagree on sample count")
+
+def _ridge_solve(phi: np.ndarray, rhs: np.ndarray, beta: float) -> np.ndarray:
+    """(Phi Phi^T + beta I)^-1 rhs, factoring the Gram matrix in place."""
     gram = phi @ phi.T
     # Factor in place: cho_factor reads the upper triangle of the Fortran
     # array gram.T, i.e. gram's lower triangle, so mirror the upper one onto
@@ -318,9 +316,26 @@ def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
     for i in range(1, gram.shape[0]):
         gram[i, :i] = gram[:i, i]
     gram[np.diag_indices_from(gram)] += beta
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram.T, overwrite_a=True), rhs)
+
+
+def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
+    """Closed-form ridge regression: C = Y Phi^T (Phi Phi^T + beta I)^-1.
+
+    Solved through a symmetric positive-definite factorization of the Gram
+    matrix, in place; no explicit inverse and no second Gram matrix is formed,
+    and fits on several threads take their turns.
+    """
+    if beta < 0:
+        raise ValueError("regularization must be >= 0")
+    phi = history.features if isinstance(history, StateHistory) else np.asarray(history)
+    y = np.asarray(targets)
+    if phi.shape[1] != y.shape[1]:
+        raise ValueError("history and targets disagree on sample count")
+    rhs = phi @ y.T
     try:
-        factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
-        c = scipy.linalg.cho_solve(factor, phi @ y.T).T
+        with _FIT_LOCK:
+            c = _ridge_solve(phi, rhs, beta).T
     except scipy.linalg.LinAlgError as exc:
         raise ReadoutTrainingError(
             "ridge solve failed: Gram matrix is rank deficient; use beta > 0"

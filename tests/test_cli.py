@@ -1,4 +1,5 @@
 import json
+import signal
 import warnings
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hybrid_esn import experiments
+from hybrid_esn import cli, experiments
 from hybrid_esn import io as hio
 from hybrid_esn.cli import main
 from hybrid_esn.config import SCHEMA_VERSION, load_config
@@ -227,12 +228,38 @@ class TestTrainForecast:
             assert result.output.splitlines()[-1] == (
                 f"mean_nmse={rec.mean_nmse:.9g} valid_time_s={rec.valid_time:.9g}")
 
-    def test_forecast_span_out_of_range_exits_2(self, runner, tmp_path):
+    def test_forecast_span_out_of_range_exits_2(self, runner, tmp_path, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("ground truth integrated")
+
+        monkeypatch.setattr(cli, "simulate", no_integration)
         cfg = write_config(tmp_path)
         result = runner.invoke(main, ["forecast", "--config", str(cfg),
                                       "--regime", "synchrony", "--span", "9",
                                       "--out", str(tmp_path / "p.csv")])
-        assert result.exit_code == 2
+        assert_one_line_error(result, 2, "span must be in [0, 1]")
+
+    @pytest.mark.parametrize("argv, n_steps", [
+        (["train", "--out", "m.bin"], 150),
+        (["forecast", "--span", "0", "--out", "p.csv"], 150 + 30 + 15 + 40 - 1),
+        (["forecast", "--span", "1", "--out", "p.csv"], 150 + 30 + 60 + 15 + 40 - 1),
+    ], ids=["train", "forecast_span_0", "forecast_span_1"])
+    def test_integrates_only_the_samples_read(self, runner, tmp_path, monkeypatch, argv,
+                                              n_steps):
+        # train reads the training span, forecast the record through its span's test
+        real, steps = cli.simulate, []
+
+        def counted(params, theta0, integrator, n):
+            steps.append(n)
+            return real(params, theta0, integrator, n)
+
+        monkeypatch.setattr(cli, "simulate", counted)
+        cfg = write_config(tmp_path)
+        argv = [argv[0], "--config", str(cfg), "--regime", "synchrony",
+                *argv[1:-1], str(tmp_path / argv[-1])]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert steps == [n_steps]
 
 
 class TestSweepGridReport:
@@ -381,6 +408,24 @@ class TestStreamedPoints:
         assert [p.name for p in out.iterdir()] == ["sigma_k_0.csv"]
         assert (out / "sigma_k_0.csv").read_bytes() == (full / "sigma_k_0.csv").read_bytes()
 
+    def test_sigterm_after_point_1_exits_3(self, runner, tmp_path, monkeypatch):
+        before = signal.getsignal(signal.SIGTERM)
+
+        def terminate():
+            # without a handler of the sweep's own, SIGTERM would end the test run
+            assert signal.getsignal(signal.SIGTERM) is not before
+            signal.raise_signal(signal.SIGTERM)
+
+        self.hook_point_2(monkeypatch, terminate)
+        out = tmp_path / "out"
+        result = self.run_sweep_cmd(runner, tmp_path, out)
+        assert result.exit_code == 3, result.output
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: interrupted; finished points in {out}: sigma_k_0"]
+        assert [p.name for p in out.iterdir()] == ["sigma_k_0.csv"]
+        assert signal.getsignal(signal.SIGTERM) is before
+
     def test_interrupt_inside_csv_write_leaves_no_temp_file(self, runner, tmp_path,
                                                               monkeypatch):
         def torn_write(path, records):
@@ -413,14 +458,30 @@ def bad_out_below_file(tmp_path):
     ("grid", {"grid": True, "regimes": ["asynchrony"]}, lambda p: [], "'asynchrony'"),
     ("sweep", {}, lambda p: ["--threads", "0"], "--threads must be >= 1"),
     ("grid", {"grid": True}, lambda p: ["--threads", "-2"], "--threads must be >= 1"),
+    ("sweep", {"n_instantiations": 0}, lambda p: [],
+     "n_instantiations must be an integer >= 1, got 0"),
+    ("sweep", {"n_realizations": 0}, lambda p: [],
+     "n_realizations must be an integer >= 1, got 0"),
+    ("sweep", {"n_instantiations": 2.5}, lambda p: [],
+     "n_instantiations must be an integer >= 1, got 2.5"),
+    ("grid", {"grid": True, "n_realizations": "2"}, lambda p: [],
+     "n_realizations must be an integer >= 1"),
+    ("sweep", {"threads": 1.5}, lambda p: [], "threads must be an integer >= 1, got 1.5"),
+    ("sweep", {"layout": {**TINY_LAYOUT, "dt": 0.05}}, lambda p: [],
+     "layout dt 0.05 must equal integrator dt 0.1"),
+    ("generate", {"integrator": {"dt": 0.05}, "layout": {**TINY_LAYOUT, "dt": 0.1}},
+     lambda p: ["--regime", "synchrony"], "layout dt 0.1 must equal integrator dt 0.05"),
 ], ids=["sweep_out_is_file", "grid_out_is_file", "out_below_file", "grid_regime",
-        "threads_0", "threads_negative"])
+        "threads_0", "threads_negative", "instantiations_0", "realizations_0",
+        "instantiations_float", "realizations_str", "config_threads_float", "layout_dt",
+        "integrator_dt"])
 def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, config,
                                         extra, fragment):
     def no_integration(*args, **kwargs):
         raise AssertionError("ground truth integrated")
 
     monkeypatch.setattr(experiments, "simulate_batch", no_integration)
+    monkeypatch.setattr(cli, "simulate", no_integration)
     if command == "sweep":
         config = {"sweep": {"parameter": "sigma_k", "values": [0.0]}, **config}
     cfg = write_config(tmp_path, **config)
@@ -431,3 +492,4 @@ def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, 
     assert_one_line_error(result, 2, fragment)
     assert "Traceback" not in result.output
     assert not (tmp_path / "o").exists()
+

@@ -1,7 +1,10 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hybrid_esn import dynamics, experiments, reservoir
 from hybrid_esn.dynamics import NumericalBlowup, perturb_params, realize_regime, simulate
@@ -226,6 +229,34 @@ class TestSharedProcedure:
                     param_value=0.0, instantiation=inst, span=k, mean_nmse=mean_nmse(fr),
                     valid_time=valid_time(fr, man.epsilon)))
         assert got == want
+
+    def test_pool_runs_one_ridge_fit_at_a_time(self, monkeypatch):
+        # a counter around the factorization, inside the fit's locked
+        # section; the sleep leaves a second pool thread time to enter
+        real = scipy.linalg.cho_factor
+        guard = threading.Lock()
+        inside, peak, fit_threads = [0], [0], set()
+
+        def counted(*args, **kwargs):
+            with guard:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+                fit_threads.add(threading.get_ident())
+            time.sleep(0.05)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        man = tiny_manifest(n_instantiations=4)
+        serial = run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony", threads=1)
+        fit_threads.clear()
+        pooled = run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony", threads=2)
+        assert len(fit_threads) == 2  # both pool threads fitted
+        assert peak[0] == 1
+        assert pooled == serial
 
     def test_threads_identical_above_dense_eigen_limit(self):
         # sizes above 2048 take their spectral radius from ARPACK
