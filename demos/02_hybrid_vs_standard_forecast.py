@@ -43,8 +43,8 @@ for kind in ("standard", "hybrid"):
     if hybrid:
         wrong = perturb_params(params, 0.05, 0.05, seed=5)
         expert = ExpertModel(params=wrong)
-    history, targets = collect_states(training, m, expert=expert)
-    readout = train_readout(history, targets, cfg.regularization)
+    features, targets = collect_states(training, m, expert=expert)
+    readout = train_readout(features, targets, cfg.regularization)
     preds = forecast(warmup, test.shape[1], m, readout, expert=expert)
     fr = ForecastResult(prediction=preds, truth=test, dt=0.1)
     print(f"{kind:8s}  mean NMSE = {mean_nmse(fr):8.5f}   "

@@ -9,7 +9,6 @@ from .dynamics import (
     biharmonic_regime,
     components_to_phases,
     generate_trajectory,
-    normalize_components,
     perturb_params,
     phases_to_components,
     sample_frequencies,
@@ -22,7 +21,6 @@ from .evaluation import (
     mean_nmse,
     nmse_series,
     segment,
-    space_time_separation,
     valid_time,
 )
 from .experiments import (
@@ -38,7 +36,6 @@ from .experiments import (
 )
 from .hybrid import ExpertModel, Instantiation
 from .reservoir import (
-    Readout,
     ReservoirConfig,
     ReservoirMatrices,
     build_input_matrix,

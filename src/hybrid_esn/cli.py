@@ -71,9 +71,9 @@ def main():
 def generate(config_path, regime, seed, out_path):
     """Generate one ground-truth trajectory CSV plus a sidecar metadata file."""
     cfg = _load(config_path)
-    if seed is not None:
-        cfg = type(cfg)(**{**cfg.__dict__, "master_seed": seed})
     try:
+        if seed is not None:
+            cfg = replace(cfg, master_seed=seed)
         params, theta0, trajectory = _ground_truth(cfg, regime, cfg.layout.total_steps)
     except ValueError as exc:
         _fail(str(exc))
@@ -276,7 +276,10 @@ def report(in_dir, plot):
     files = sorted(p for p in in_path.glob("*.csv") if p.name != "summary.csv")
     records = []
     for path in files:
-        records.extend(hio.read_metric_csv(path))
+        try:
+            records.extend(hio.read_metric_csv(path))
+        except (OSError, ValueError) as exc:
+            _fail(f"cannot read metric CSV {path}: {exc}")
     if not records:
         _fail(f"no metric records found in {in_dir}")
     summary = aggregate_report(records)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
-from .dynamics import IntegratorConfig
+from .dynamics import BIHARMONIC_REGIME_NAMES, STANDARD_REGIME_NAMES, IntegratorConfig, check_count
 from .evaluation import SpanLayout
 from .experiments import Baselines, RunManifest, SweepSpec
 
@@ -22,8 +22,8 @@ SCHEMA_VERSION = 1
 SEED_ENV_VAR = "HYBRID_ESN_SEED"
 
 _TASK_REGIMES = {
-    "parameter_error": ("synchrony", "asynchrony", "multi_frequency"),
-    "residual_physics": ("synchrony", "asynchrony", "heteroclinic_cycles", "partial_synchrony"),
+    "parameter_error": STANDARD_REGIME_NAMES,
+    "residual_physics": BIHARMONIC_REGIME_NAMES,
 }
 
 
@@ -32,6 +32,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(section: dict, allowed, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -71,13 +73,18 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "n_realizations", 3 if self.task == "parameter_error" else 1
             )
+        if not isinstance(self.grid, bool):
+            raise ConfigError(f"grid must be true or false, got {self.grid!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.sweep is not None and self.grid:
             raise ConfigError("config cannot request both a sweep and the grid search")
+        if not self.models:
+            raise ConfigError("models must name at least one model arm")
         for model in self.models:
             if model not in ("standard", "hybrid", "ode"):
                 raise ConfigError(f"unknown model arm {model!r}")
-        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
-            raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
+        check_count("threads", self.threads)
         self.manifest()  # validates the replication counts and the dt rule
 
     def manifest(self) -> RunManifest:
@@ -91,31 +98,6 @@ class ExperimentConfig:
             epsilon=self.epsilon,
             master_seed=self.master_seed,
         )
-
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "task": self.task,
-            "regimes": list(self.regimes),
-            "baselines": asdict(self.baselines),
-            "integrator": {"dt": self.integrator.dt,
-                           "substeps_per_sample": self.integrator.substeps_per_sample},
-            "layout": {k: getattr(self.layout, k)
-                       for k in ("training", "train_test_gap", "warmup", "test",
-                                 "test_test_gap", "n_tests", "dt")},
-            "n_instantiations": self.n_instantiations,
-            "n_realizations": self.n_realizations,
-            "epsilon": self.epsilon,
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "threads": self.threads,
-            "models": list(self.models),
-            "grid": self.grid,
-        }
-        if self.sweep is not None:
-            doc["sweep"] = {"parameter": self.sweep.parameter,
-                            "values": list(self.sweep.values)}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 _TOP_KEYS = (
@@ -166,7 +148,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         integrator = IntegratorConfig(**integ_doc)
         layout = SpanLayout(**{"dt": integrator.dt, **layout_doc})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     sweep = None
@@ -178,7 +160,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         try:
             sweep = SweepSpec(parameter=sweep_doc["parameter"],
                               values=tuple(sweep_doc["values"]))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     _check_baselines(baselines, sweep)
@@ -188,8 +170,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if env_seed is not None:
         try:
             master_seed = int(env_seed)
+            if master_seed < 0:
+                raise ValueError
         except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env_seed!r}") from exc
 
     regimes = doc.get("regimes")
     if regimes is None:
@@ -206,13 +190,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
             n_realizations=doc.get("n_realizations"),
             epsilon=doc.get("epsilon", 0.4),
             sweep=sweep,
-            grid=bool(doc.get("grid", False)),
+            grid=doc.get("grid", False),
             master_seed=master_seed,
             output_dir=doc.get("output_dir", "out"),
             threads=doc.get("threads", 1),
             models=tuple(doc.get("models", ("standard", "hybrid", "ode"))),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

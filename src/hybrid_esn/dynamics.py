@@ -9,11 +9,13 @@ so most integration here happens in component form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
+    "check_count",
     "NumericalBlowup",
     "KuramotoParams",
     "BiHarmonicParams",
@@ -23,10 +25,8 @@ __all__ = [
     "IntegratorConfig",
     "standard_regime",
     "biharmonic_regime",
-    "wrap_phases",
     "phases_to_components",
     "components_to_phases",
-    "normalize_components",
     "normalize_rows",
     "RK4Stepper",
     "integrate_step",
@@ -40,17 +40,18 @@ __all__ = [
 ]
 
 
+def check_count(name: str, value, low: int = 1) -> None:
+    """Raise ValueError unless `value` is an integer (a bool is not one) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 class NumericalBlowup(RuntimeError):
     """Integration produced a non-finite state."""
 
     def __init__(self, step: int):
         super().__init__(f"non-finite state encountered at integration step {step}")
         self.step = step
-
-
-def wrap_phases(theta):
-    """Wrap angles to [-pi, pi)."""
-    return np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.substeps_per_sample < 1:
-            raise ValueError("substeps_per_sample must be >= 1")
+        check_count("substeps_per_sample", self.substeps_per_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +233,8 @@ def components_to_phases(c) -> np.ndarray:
     return np.arctan2(y, x)
 
 
-def normalize_components(c) -> np.ndarray:
-    """Rescale each (x_i, y_i) pair to unit magnitude, preserving direction.
-
-    Pairs run along the last axis, so a (..., 2N) batch of states is
-    normalized row by row.
-    """
-    c = np.asarray(c, dtype=float)
-    x, y = _split_components(c)
-    r = np.hypot(x, y)
-    if np.any(r <= 1e-12):
-        raise ValueError("cannot normalize: component pair at the origin")
-    out = np.empty_like(c)
-    out[..., 0::2] = x / r
-    out[..., 1::2] = y / r
-    return out
-
-
 def normalize_rows(c):
-    """normalize_components for an (S, 2N) batch that flags bad rows instead of raising.
+    """Rescale each (x_i, y_i) pair of an (S, 2N) batch to unit magnitude, row by row.
 
     Returns (out, ok): ok[s] is False where row s holds a non-finite entry
     or a pair at the origin, and such a row comes back unchanged.

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import check_count
+
 __all__ = [
     "SpanLayout",
     "ForecastResult",
@@ -16,8 +18,6 @@ __all__ = [
     "valid_time",
     "nmse_denominator",
     "span_metrics",
-    "failure_metrics",
-    "space_time_separation",
 ]
 
 
@@ -40,8 +40,7 @@ class SpanLayout:
 
     def __post_init__(self):
         for name in ("training", "train_test_gap", "warmup", "test", "test_test_gap", "n_tests"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            check_count(name, getattr(self, name))
         if self.test < 2:
             raise ValueError("test must be >= 2: the bare-ODE forecast covers test - 1 samples")
         if self.dt <= 0:
@@ -152,8 +151,10 @@ def span_metrics(error_norms: np.ndarray, truth: np.ndarray, dt: float,
                  epsilon: float = 0.4):
     """(mean NMSE, valid time) of one forecast from its per-step ||u(t) - u*(t)||.
 
-    A series shorter than the truth is an aborted forecast: it is normalized
-    over the truth it covers and scored as `failure_metrics` says.
+    A series shorter than the truth is an aborted forecast, scored at the
+    worst case rather than dropped: the series is normalized over the truth
+    it covers and padded with 2.0 (the antipodal-forecast level) out to the
+    full horizon for the mean, and valid time comes from the prefix alone.
     """
     horizon = truth.shape[1]
     k = error_norms.shape[0]
@@ -165,41 +166,3 @@ def span_metrics(error_norms: np.ndarray, truth: np.ndarray, dt: float,
     bad = np.flatnonzero(series > epsilon)
     n_ok = series.size if bad.size == 0 else int(bad[0])
     return float(np.mean(series)), n_ok * dt
-
-
-def failure_metrics(partial: np.ndarray, truth: np.ndarray, dt: float,
-                    epsilon: float = 0.4):
-    """Score an aborted forecast: worst-case padding, never a dropped record.
-
-    The NMSE series of the surviving prefix is padded with 2.0 (the
-    antipodal-forecast level) out to the full horizon for the mean; valid
-    time comes from the prefix alone.
-    """
-    k = partial.shape[1]
-    if k == 0:
-        return 2.0, 0.0
-    fr = ForecastResult(prediction=partial, truth=truth[:, :k], dt=dt)
-    return span_metrics(np.linalg.norm(fr.truth - fr.prediction, axis=0), truth, dt, epsilon)
-
-
-def space_time_separation(record: np.ndarray, dt: float, max_lag: int, stride: int = 1):
-    """Pairwise Euclidean separations of samples at every lag up to max_lag.
-
-    Returns (lags_seconds, distances) where distances[k] is the array of
-    separations at lag k*stride steps, subsampled by `stride` along the
-    record for tractability.
-    """
-    if record.ndim != 2:
-        raise ValueError("record must be a 2-d matrix")
-    n = record.shape[1]
-    if max_lag >= n:
-        raise ValueError("max_lag must be smaller than the record length")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    lags = np.arange(0, max_lag + 1, stride)
-    distances = []
-    for lag in lags:
-        a = record[:, : n - lag : stride]
-        b = record[:, lag :: stride][:, : a.shape[1]]
-        distances.append(np.linalg.norm(a - b, axis=0))
-    return lags * dt, distances

@@ -23,6 +23,7 @@ from .dynamics import (
     IntegratorConfig,
     NumericalBlowup,
     RegimeSpec,
+    check_count,
     perturb_params,
     realize_regime,
     simulate_batch,
@@ -198,16 +199,21 @@ class RunManifest:
     def __post_init__(self):
         if self.task not in _TASK_IDS:
             raise ValueError(f"unknown task {self.task!r}")
-        for name in ("n_instantiations", "n_realizations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_count("n_instantiations", self.n_instantiations)
+        check_count("n_realizations", self.n_realizations)
+        check_count("master_seed", self.master_seed, 0)
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not eps > 0:
+            # every valid time would be 0
+            raise ValueError(f"epsilon must be a positive number, got {eps!r}")
         if self.layout.dt != self.integrator.dt:
             # the expert steps the layout's dt between samples that are
             # integrated the integrator's dt apart
             raise ValueError(f"layout dt {self.layout.dt:g} must equal integrator dt "
                              f"{self.integrator.dt:g}")
         object.__setattr__(self, "regimes", tuple(self.regimes))
+        if not self.regimes:
+            raise ValueError("regimes must name at least one regime")
         for regime in self.regimes:
             regime_spec(self.task, regime)  # validates the name
 
@@ -281,8 +287,8 @@ def train_instantiation(manifest, model_kind, baselines, scheme, training, base_
     matrices = _instantiation_matrices(cfg, training.shape[0], hybrid, scheme, ctx, cache)
     expert = (_perturbed_expert(manifest, baselines, scheme, base_params, "expert_error", ctx)
               if hybrid else None)
-    history, targets = collect_states(training, matrices, expert=expert)
-    return Instantiation(matrices, train_readout(history, targets, cfg.regularization), expert)
+    features, targets = collect_states(training, matrices, expert=expert)
+    return Instantiation(matrices, train_readout(features, targets, cfg.regularization), expert)
 
 
 def _forecast_records(manifest, model_kind, regime_name, spans, realization,

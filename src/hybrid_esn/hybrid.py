@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import KuramotoParams, RK4Stepper, RowParams
-from .reservoir import Readout, ReservoirMatrices
+from .reservoir import ReservoirMatrices
 
-__all__ = ["ExpertModel", "RowParams", "stack_experts", "Instantiation"]
+__all__ = ["ExpertModel", "stack_experts", "Instantiation"]
 
 
 @dataclass
@@ -95,7 +95,7 @@ class Instantiation:
     """
 
     matrices: ReservoirMatrices | None = None
-    readout: Readout | None = None
+    readout: np.ndarray | None = None  # C
     expert: ExpertModel | None = None
 
     def __post_init__(self):
@@ -105,11 +105,11 @@ class Instantiation:
             if self.expert is None:
                 raise ValueError("a model without a reservoir needs an expert")
             return
-        d_u = self.readout.weights.shape[0]
+        d_u = self.readout.shape[0]
         expert_dim = d_u if self.expert is not None else 0
         if self.matrices.d_in != d_u + expert_dim:
             raise ValueError(f"input matrix has {self.matrices.d_in} columns; "
                              f"expected {d_u + expert_dim}")
-        if self.readout.weights.shape != (d_u, self.matrices.d_r + expert_dim):
-            raise ValueError(f"readout shape {self.readout.weights.shape} does not match the "
+        if self.readout.shape != (d_u, self.matrices.d_r + expert_dim):
+            raise ValueError(f"readout shape {self.readout.shape} does not match the "
                              f"feature dimension {self.matrices.d_r + expert_dim}")

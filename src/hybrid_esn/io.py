@@ -12,7 +12,7 @@ import scipy.sparse
 from .dynamics import BiHarmonicParams, KuramotoParams
 from .evaluation import MetricRecord
 from .hybrid import ExpertModel, Instantiation
-from .reservoir import Readout, ReservoirMatrices
+from .reservoir import ReservoirMatrices
 
 __all__ = [
     "write_trajectory_csv",
@@ -68,16 +68,23 @@ def write_metric_csv(path, records) -> None:
 
 
 def read_metric_csv(path):
+    """MetricRecord rows; ValueError on a missing column or a cell that does not parse."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in METRIC_CSV_HEADER.split(",") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
         for row in reader:
-            records.append(MetricRecord(
-                task=row["task"], regime=row["regime"], model=row["model"],
-                param_name=row["param_name"], param_value=float(row["param_value"]),
-                instantiation=int(row["instantiation"]), span=int(row["span"]),
-                mean_nmse=float(row["mean_nmse"]), valid_time=float(row["valid_time_s"]),
-            ))
+            try:
+                records.append(MetricRecord(
+                    task=row["task"], regime=row["regime"], model=row["model"],
+                    param_name=row["param_name"], param_value=float(row["param_value"]),
+                    instantiation=int(row["instantiation"]), span=int(row["span"]),
+                    mean_nmse=float(row["mean_nmse"]), valid_time=float(row["valid_time_s"]),
+                ))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
     return records
 
 
@@ -96,7 +103,7 @@ def save_model(path, model: Instantiation) -> None:
     if model.matrices is None:
         raise ValueError("a model dump needs reservoir matrices")
     matrices, readout, expert = model.matrices, model.readout, model.expert
-    d_u, d_feat = readout.weights.shape
+    d_u, d_feat = readout.shape
     flag = 0
     if expert is not None:
         flag = 2 if isinstance(expert.params, BiHarmonicParams) else 1
@@ -106,7 +113,7 @@ def save_model(path, model: Instantiation) -> None:
         fh.write(struct.pack("<I", flag))
         fh.write(np.ascontiguousarray(matrices.internal.toarray(), dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(matrices.input, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(readout.weights, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(readout, dtype="<f8").tobytes())
         if expert is not None:
             base = expert.params.base if flag == 2 else expert.params
             fh.write(struct.pack("<d", expert.dt))
@@ -158,4 +165,4 @@ def load_model(path) -> Instantiation:
         expert = ExpertModel(params=params, dt=float(dt))
     matrices = ReservoirMatrices(internal=scipy.sparse.csr_matrix(a.reshape(d_r, d_r)),
                                  input=b.reshape(d_r, d_in).copy())
-    return Instantiation(matrices, Readout(weights=c.reshape(d_u, d_feat).copy()), expert)
+    return Instantiation(matrices, c.reshape(d_u, d_feat).copy(), expert)

@@ -20,8 +20,6 @@ import scipy.sparse.linalg
 __all__ = [
     "ReservoirConfig",
     "ReservoirMatrices",
-    "StateHistory",
-    "Readout",
     "ReadoutTrainingError",
     "ForecastAbort",
     "CollectionError",
@@ -107,28 +105,6 @@ class ReservoirMatrices:
     @property
     def d_in(self) -> int:
         return self.input.shape[1]
-
-
-@dataclass(frozen=True)
-class StateHistory:
-    """Transformed (and, for hybrid, expert-augmented) states as columns."""
-
-    features: np.ndarray  # D_feat x n_T
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class Readout:
-    """Trained output matrix C mapping features to next-step predictions."""
-
-    weights: np.ndarray  # D_u x D_feat
 
 
 def spectral_radius_of(a) -> float:
@@ -266,9 +242,9 @@ _TEACHER_ROWS = 256
 def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     """Drive the reservoir through a training span in feed-forward mode.
 
-    `training` is D_u x (n_T + 1); column t of the returned history holds
-    g(r_{t+1}) (standard) or [u_tilde_{t+1}; g(r_{t+1})] (hybrid), and the
-    target matrix holds the ground-truth next states.
+    `training` is D_u x (n_T + 1).  Returns the arrays (features, targets):
+    column t holds g(r_{t+1}) (standard) or [u_tilde_{t+1}; g(r_{t+1})]
+    (hybrid) in features, and the ground-truth next state in targets.
     """
     if training.ndim != 2 or training.shape[1] < 2:
         raise ValueError("need at least 2 training samples")
@@ -296,7 +272,7 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
             raise CollectionError(t)
         g = nonlinear_transform(r)
         features[:, t] = np.concatenate([u_tilde, g]) if expert is not None else g
-    return StateHistory(features=features), training[:, 1:]
+    return features, training[:, 1:]
 
 
 # Held from the Gram matrix's product through the solve, so that a process
@@ -319,8 +295,8 @@ def _ridge_solve(phi: np.ndarray, rhs: np.ndarray, beta: float) -> np.ndarray:
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram.T, overwrite_a=True), rhs)
 
 
-def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
-    """Closed-form ridge regression: C = Y Phi^T (Phi Phi^T + beta I)^-1.
+def train_readout(features: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarray:
+    """The readout array C = Y Phi^T (Phi Phi^T + beta I)^-1 of features Phi, targets Y.
 
     Solved through a symmetric positive-definite factorization of the Gram
     matrix, in place; no explicit inverse and no second Gram matrix is formed,
@@ -328,14 +304,12 @@ def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
     """
     if beta < 0:
         raise ValueError("regularization must be >= 0")
-    phi = history.features if isinstance(history, StateHistory) else np.asarray(history)
-    y = np.asarray(targets)
-    if phi.shape[1] != y.shape[1]:
-        raise ValueError("history and targets disagree on sample count")
-    rhs = phi @ y.T
+    if features.shape[1] != targets.shape[1]:
+        raise ValueError("features and targets disagree on sample count")
+    rhs = features @ targets.T
     try:
         with _FIT_LOCK:
-            c = _ridge_solve(phi, rhs, beta).T
+            c = _ridge_solve(features, rhs, beta).T
     except scipy.linalg.LinAlgError as exc:
         raise ReadoutTrainingError(
             "ridge solve failed: Gram matrix is rank deficient; use beta > 0"
@@ -344,7 +318,7 @@ def train_readout(history, targets: np.ndarray, beta: float) -> Readout:
         raise ReadoutTrainingError(
             "ridge solve produced non-finite weights; use beta > 0"
         )
-    return Readout(weights=c)
+    return c
 
 
 @dataclass(frozen=True)
@@ -410,7 +384,7 @@ def stack_reservoirs(matrices, readouts, n_spans: int) -> ReservoirStack:
         internal=scipy.sparse.block_diag([m.internal for m in matrices], format="csr"),
         gather=gather.reshape(n_inst * d_r, n_spans),
         weights=weights.reshape(n_inst * d_r, 1),
-        readouts=np.stack([r.weights for r in readouts]),
+        readouts=np.stack(readouts),
         n_spans=n_spans,
     )
 
@@ -466,7 +440,7 @@ def forecast_columns(warmups: np.ndarray, horizon: int, on_step, stack=None,
     return aborts
 
 
-def forecast(warmup: np.ndarray, horizon: int, m: ReservoirMatrices, readout: Readout,
+def forecast(warmup: np.ndarray, horizon: int, m: ReservoirMatrices, readout: np.ndarray,
              expert=None) -> np.ndarray:
     """Warm up on a span, then forecast autoregressively for `horizon` steps.
 

@@ -1,14 +1,39 @@
-"""Reference integrators that the tests compare the program against.
+"""Reference integrators and transforms that the tests compare the program against.
 
 The phase-form right-hand sides are the oscillator models as the paper
 states them.  `component_rhs` and `rk4_step` are the straightforward
 component-form field and RK4 step (one numpy expression per term, arrays
 allocated as they go); `dynamics.RK4Stepper` must equal them bit for bit.
+`normalize_components` is the raising one-state renormalization that the
+reference forecast loops apply, and `wrap_phases` maps phase-form results
+onto the circle.
 """
 
 import numpy as np
 
-from hybrid_esn.dynamics import BiHarmonicParams, KuramotoParams
+from hybrid_esn.dynamics import BiHarmonicParams, KuramotoParams, _split_components
+
+
+def wrap_phases(theta):
+    """Wrap angles to [-pi, pi)."""
+    return np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+
+
+def normalize_components(c) -> np.ndarray:
+    """Rescale each (x_i, y_i) pair to unit magnitude, preserving direction.
+
+    Pairs run along the last axis, so a (..., 2N) batch of states is
+    normalized row by row.
+    """
+    c = np.asarray(c, dtype=float)
+    x, y = _split_components(c)
+    r = np.hypot(x, y)
+    if np.any(r <= 1e-12):
+        raise ValueError("cannot normalize: component pair at the origin")
+    out = np.empty_like(c)
+    out[..., 0::2] = x / r
+    out[..., 1::2] = y / r
+    return out
 
 
 def _check_phase_state(theta, n):

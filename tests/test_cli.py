@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hybrid_esn import cli, experiments
 from hybrid_esn import io as hio
 from hybrid_esn.cli import main
-from hybrid_esn.config import SCHEMA_VERSION, load_config
+from hybrid_esn.config import SCHEMA_VERSION, SEED_ENV_VAR, load_config
 from hybrid_esn.evaluation import segment
 from hybrid_esn.experiments import SeedScheme, run_shared_procedure, train_instantiation
 from hybrid_esn.io import load_model, read_metric_csv, read_trajectory_csv
@@ -131,7 +131,7 @@ class TestTrainForecast:
         assert result.exit_code == 0, result.output
         model = load_model(out)
         assert model.matrices.d_r == 40
-        assert model.readout.weights.shape == (10, 50)
+        assert model.readout.shape == (10, 50)
         assert model.expert is not None
 
     def test_train_standard_has_no_expert(self, runner, tmp_path):
@@ -143,7 +143,7 @@ class TestTrainForecast:
         assert result.exit_code == 0
         model = load_model(out)
         assert model.expert is None
-        assert model.readout.weights.shape == (10, 40)
+        assert model.readout.shape == (10, 40)
 
     def test_unknown_model_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)
@@ -211,7 +211,7 @@ class TestTrainForecast:
         np.testing.assert_array_equal(got.matrices.internal.toarray(),
                                       want.matrices.internal.toarray())
         np.testing.assert_array_equal(got.matrices.input, want.matrices.input)
-        np.testing.assert_array_equal(got.readout.weights, want.readout.weights)
+        np.testing.assert_array_equal(got.readout, want.readout)
         if model == "hybrid":
             np.testing.assert_array_equal(got.expert.params.omega, want.expert.params.omega)
             assert got.expert.params.coupling == want.expert.params.coupling
@@ -353,6 +353,19 @@ class TestSweepGridReport:
         result = runner.invoke(main, ["report", "--in", str(empty)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("text, fragment", [
+        ("model,instantiation,span\nhybrid,0,0\n", "missing column(s) task, regime"),
+        (hio.METRIC_CSV_HEADER + "\nparameter_error,synchrony,hybrid,sigma_k,0,0,0,0.1,1\n"
+         "parameter_error,synchrony,hybrid,sigma_k,0,0,1,abc,1\n",
+         "line 3: could not convert string to float: 'abc'"),
+    ], ids=["missing_columns", "non_numeric_cell"])
+    def test_report_malformed_csv_exits_2(self, runner, tmp_path, text, fragment):
+        (tmp_path / "points.csv").write_text(text)
+        result = runner.invoke(main, ["report", "--in", str(tmp_path)])
+        assert_one_line_error(result, 2, f"cannot read metric CSV {tmp_path / 'points.csv'}: ")
+        assert fragment in result.output
+        assert not (tmp_path / "summary.csv").exists()
+
 
 class TestStreamedPoints:
     """Each sweep point's metric CSV lands as the point ends; an interrupt keeps it."""
@@ -451,6 +464,14 @@ def bad_out_below_file(tmp_path):
     return ["--out", str(tmp_path / "taken" / "results")]
 
 
+def seed_env(value):
+    """No extra arguments; the command runs with HYBRID_ESN_SEED set to `value`."""
+    def extra(tmp_path):
+        return []
+    extra.env = {SEED_ENV_VAR: value}
+    return extra
+
+
 @pytest.mark.parametrize("command, config, extra, fragment", [
     ("sweep", {}, bad_out_file, "taken"),
     ("grid", {"grid": True}, bad_out_file, "taken"),
@@ -471,10 +492,31 @@ def bad_out_below_file(tmp_path):
      "layout dt 0.05 must equal integrator dt 0.1"),
     ("generate", {"integrator": {"dt": 0.05}, "layout": {**TINY_LAYOUT, "dt": 0.1}},
      lambda p: ["--regime", "synchrony"], "layout dt 0.1 must equal integrator dt 0.05"),
+    ("sweep", {"master_seed": -1}, lambda p: [], "master_seed must be an integer >= 0, got -1"),
+    ("sweep", {"master_seed": "a"}, lambda p: [], "master_seed must be an integer >= 0, got 'a'"),
+    ("sweep", {}, seed_env("-1"), "HYBRID_ESN_SEED must be an integer >= 0, got '-1'"),
+    ("generate", {}, lambda p: ["--regime", "synchrony", "--seed", "-1"],
+     "master_seed must be an integer >= 0, got -1"),
+    ("sweep", {"integrator": {"substeps_per_sample": 2.5}}, lambda p: [],
+     "substeps_per_sample must be an integer >= 1, got 2.5"),
+    ("sweep", {"integrator": {"dt": "a"}}, lambda p: [], "'<=' not supported"),
+    ("sweep", {"layout": {**TINY_LAYOUT, "test": 40.5}}, lambda p: [],
+     "test must be an integer >= 1, got 40.5"),
+    ("sweep", {"epsilon": -1}, lambda p: [], "epsilon must be a positive number, got -1"),
+    ("sweep", {"models": []}, lambda p: [], "models must name at least one model arm"),
+    ("sweep", {"regimes": []}, lambda p: [], "regimes must name at least one regime"),
+    ("sweep", {"grid": "no"}, lambda p: [], "grid must be true or false, got 'no'"),
+    ("sweep", {"output_dir": 5}, lambda p: [], "output_dir must be a string, got 5"),
+    ("sweep", {"layout": 5}, lambda p: [], "layout must be a JSON object"),
+    ("sweep", {"sweep": {"parameter": "sigma_k", "values": 5}}, lambda p: [],
+     "'int' object is not iterable"),
 ], ids=["sweep_out_is_file", "grid_out_is_file", "out_below_file", "grid_regime",
         "threads_0", "threads_negative", "instantiations_0", "realizations_0",
         "instantiations_float", "realizations_str", "config_threads_float", "layout_dt",
-        "integrator_dt"])
+        "integrator_dt", "master_seed_negative", "master_seed_str", "env_seed_negative",
+        "generate_seed_negative", "substeps_float", "integrator_dt_str", "layout_test_float",
+        "epsilon_negative", "models_empty", "regimes_empty", "grid_str", "output_dir_int",
+        "layout_not_object", "sweep_values_int"])
 def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, config,
                                         extra, fragment):
     def no_integration(*args, **kwargs):
@@ -488,7 +530,7 @@ def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, 
     argv = [command, "--config", str(cfg), *extra(tmp_path)]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "o")]
-    result = runner.invoke(main, argv)
+    result = runner.invoke(main, argv, env=getattr(extra, "env", None))
     assert_one_line_error(result, 2, fragment)
     assert "Traceback" not in result.output
     assert not (tmp_path / "o").exists()

@@ -12,11 +12,11 @@ from hybrid_esn.dynamics import (
     KuramotoParams,
     NumericalBlowup,
     RK4Stepper,
+    RowParams,
     biharmonic_regime,
     components_to_phases,
     generate_trajectory,
     integrate_step,
-    normalize_components,
     normalize_rows,
     perturb_params,
     phases_to_components,
@@ -27,8 +27,7 @@ from hybrid_esn.dynamics import (
     standard_regime,
 )
 from hybrid_esn.experiments import SeedScheme
-from hybrid_esn.hybrid import RowParams
-from oracle import biharmonic_rhs, component_rhs, kuramoto_rhs, rk4_step
+from oracle import biharmonic_rhs, component_rhs, kuramoto_rhs, normalize_components, rk4_step
 
 RNG = np.random.default_rng(1234)
 

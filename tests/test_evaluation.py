@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from hybrid_esn.evaluation import (
     ForecastResult,
     SpanLayout,
-    failure_metrics,
     mean_nmse,
     nmse_series,
     segment,
-    space_time_separation,
     span_metrics,
     valid_time,
 )
@@ -179,16 +177,18 @@ class TestValidTime:
 
 
 class TestFailureMetrics:
+    """An aborted forecast, scored by `span_metrics` from the norms of its prefix."""
+
     def test_empty_prefix_worst_case(self):
         truth = np.vstack([np.ones(10), np.zeros(10)])
-        m, t = failure_metrics(np.empty((2, 0)), truth, 0.1)
+        m, t = span_metrics(np.empty(0), truth, 0.1)
         assert m == 2.0 and t == 0.0
 
     def test_padding_matches_hand_computation(self):
         # 2 good steps then abort on a 5-step horizon: mean over [0,0,2,2,2]
         truth = np.vstack([np.ones(5), np.zeros(5)])
         partial = truth[:, :2].copy()
-        m, t = failure_metrics(partial, truth, 0.1)
+        m, t = span_metrics(np.linalg.norm(truth[:, :2] - partial, axis=0), truth, 0.1)
         assert m == pytest.approx(6.0 / 5.0)
         assert t == pytest.approx(0.2)
 
@@ -196,7 +196,7 @@ class TestFailureMetrics:
         truth = np.vstack([np.ones(4), np.zeros(4)])
         partial = truth[:, :3].copy()
         partial[1, 1] = 0.5  # NMSE 0.5 at step 2
-        m, t = failure_metrics(partial, truth, 0.1)
+        m, t = span_metrics(np.linalg.norm(truth[:, :3] - partial, axis=0), truth, 0.1)
         assert t == pytest.approx(0.1)
         assert m == pytest.approx((0.0 + 0.5 + 0.0 + 2.0) / 4.0)
 
@@ -211,38 +211,13 @@ class TestSpanMetrics:
         assert span_metrics(norms, truth, 0.1, 0.4) == (mean_nmse(fr), valid_time(fr, 0.4))
 
     def test_prefix_matches_failure_metrics(self):
+        # the prefix's NMSE over its own truth, padded with 2.0 to the horizon
         rng = np.random.default_rng(6)
         truth = rng.normal(size=(6, 40))
         partial = truth[:, :13] + rng.normal(scale=0.3, size=(6, 13))
         norms = np.linalg.norm(truth[:, :13] - partial, axis=0)
-        assert span_metrics(norms, truth, 0.1) == failure_metrics(partial, truth, 0.1)
+        denom = np.sqrt(np.mean(np.sum(truth[:, :13] ** 2, axis=0)))
+        series = np.concatenate([norms / denom, np.full(27, 2.0)])
+        n_ok = int(np.argmax(series > 0.4))
+        assert span_metrics(norms, truth, 0.1) == (float(np.mean(series)), n_ok * 0.1)
         assert span_metrics(norms[:0], truth, 0.1) == (2.0, 0.0)
-
-
-class TestSpaceTimeSeparation:
-    def test_zero_lag_is_zero(self):
-        rng = np.random.default_rng(1)
-        record = rng.normal(size=(4, 50))
-        lags, dists = space_time_separation(record, 0.1, 10)
-        assert lags[0] == 0.0
-        np.testing.assert_array_equal(dists[0], np.zeros(50))
-
-    def test_constant_record_all_zero(self):
-        record = np.ones((3, 40))
-        _, dists = space_time_separation(record, 0.1, 5)
-        for d in dists:
-            np.testing.assert_array_equal(d, np.zeros_like(d))
-
-    def test_uniform_rotation_chord_length(self):
-        # single unit-circle oscillator at rate w: separation at lag L is the
-        # chord 2|sin(w L dt / 2)| for every pair
-        w, dt = 0.7, 0.1
-        t = np.arange(200) * dt
-        record = np.vstack([np.cos(w * t), np.sin(w * t)])
-        lags, dists = space_time_separation(record, dt, 30)
-        for lag_s, d in zip(lags, dists):
-            np.testing.assert_allclose(d, 2 * abs(np.sin(w * lag_s / 2)), atol=1e-12)
-
-    def test_lag_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            space_time_separation(np.zeros((2, 10)), 0.1, 10)

@@ -8,7 +8,6 @@ from hybrid_esn.dynamics import (
     KuramotoParams,
     generate_trajectory,
     integrate_step,
-    normalize_components,
     normalize_rows,
     perturb_params,
     phases_to_components,
@@ -21,7 +20,6 @@ from hybrid_esn.reservoir import (
     CollectionError,
     ReservoirConfig,
     ReservoirMatrices,
-    Readout,
     build_matrices,
     collect_states,
     forecast,
@@ -30,7 +28,7 @@ from hybrid_esn.reservoir import (
 )
 import scipy.sparse
 from hybrid_esn.io import save_model
-from oracle import component_rhs, kuramoto_rhs, rk4_step
+from oracle import component_rhs, kuramoto_rhs, normalize_components, rk4_step
 
 
 class TestExpertModel:
@@ -135,7 +133,7 @@ class TestExpertModel:
         assert repr(used) == repr(fresh)
         m = build_matrices(ReservoirConfig(size=12), 4, True, 1, 2)
         for name, expert in (("used", used), ("fresh", fresh)):
-            save_model(tmp_path / name, Instantiation(m, Readout(np.zeros((4, 16))), expert))
+            save_model(tmp_path / name, Instantiation(m, np.zeros((4, 16)), expert))
         assert (tmp_path / "used").read_bytes() == (tmp_path / "fresh").read_bytes()
 
     def test_output_unit_circle(self):
@@ -161,8 +159,8 @@ class TestHybridInputAndFeatures:
         # the first state reads it back through tanh
         expert = ExpertModel(KuramotoParams(omega=np.array([3.0, -2.0]), coupling=0.0))
         u = phases_to_components([0.5, 1.0])
-        history, _ = collect_states(np.stack([u, u], axis=1), _probe_matrices(), expert=expert)
-        v = np.arctanh(history.features[4::2, 0]) / 0.5
+        features, _ = collect_states(np.stack([u, u], axis=1), _probe_matrices(), expert=expert)
+        v = np.arctanh(features[4::2, 0]) / 0.5
         assert v.shape == (8,)
         np.testing.assert_allclose(v[:4], expert.step(u), atol=1e-12)
         np.testing.assert_allclose(v[4:], u, atol=1e-12)
@@ -173,8 +171,8 @@ class TestHybridInputAndFeatures:
         expert = ExpertModel(KuramotoParams(omega=np.zeros(2), coupling=0.0))
         u = phases_to_components([-0.5, 2.0])  # u_tilde == u, with negative entries
         m = _probe_matrices()
-        history, _ = collect_states(np.stack([u, u], axis=1), m, expert=expert)
-        feat = history.features[:, 0]
+        features, _ = collect_states(np.stack([u, u], axis=1), m, expert=expert)
+        feat = features[:, 0]
         np.testing.assert_array_equal(feat[:4], expert.step(u))
         r = np.tanh(m.input @ np.concatenate([expert.step(u), u]))
         np.testing.assert_array_equal(feat[4:], nonlinear_transform(r))
@@ -195,8 +193,8 @@ class TestHybridTraining:
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, True, 1, 2)
         expert = ExpertModel(params)
-        history, targets = collect_states(traj[:, :301], m, expert=expert)
-        assert history.features.shape == (310, 300)
+        features, targets = collect_states(traj[:, :301], m, expert=expert)
+        assert features.shape == (310, 300)
         assert targets.shape == (10, 300)
 
     def test_expert_called_once_per_sample(self, sync_setup):
@@ -213,11 +211,11 @@ class TestHybridTraining:
         params, traj = sync_setup
         m = build_matrices(ReservoirConfig(size=40), 10, True, 1, 2)
         expert = ExpertModel(params)
-        history, _ = collect_states(traj[:, :601], m, expert=expert)
+        features, _ = collect_states(traj[:, :601], m, expert=expert)
         assert expert.calls == 600
         per_step = ExpertModel(params)
         want = np.stack([per_step.step(traj[:, t]) for t in range(600)], axis=1)
-        np.testing.assert_array_equal(history.features[:10], want)
+        np.testing.assert_array_equal(features[:10], want)
 
     @pytest.mark.parametrize("bad, error", [((0.0, 0.0), ValueError),
                                             ((np.inf, 0.0), FloatingPointError)],
@@ -244,9 +242,9 @@ class TestHybridTraining:
         m = build_matrices(cfg, 10, True, 3, 4)
         expert = ExpertModel(params)
         training = traj[:, :1001]
-        history, targets = collect_states(training, m, expert=expert)
-        readout = train_readout(history, targets, cfg.regularization)
-        resid = readout.weights @ history.features - targets
+        features, targets = collect_states(training, m, expert=expert)
+        readout = train_readout(features, targets, cfg.regularization)
+        resid = readout @ features - targets
         nmse = np.linalg.norm(resid) / np.linalg.norm(targets)
         assert nmse < 1e-3
 
@@ -259,20 +257,19 @@ class TestHybridTraining:
         m = build_matrices(cfg, 10, True, 5, 6)
         expert = ExpertModel(params)
         training = traj[:, :501]
-        history, targets = collect_states(training, m, expert=expert)
+        features, targets = collect_states(training, m, expert=expert)
         beta = cfg.regularization
-        hybrid_readout = train_readout(history, targets, beta)
+        hybrid_readout = train_readout(features, targets, beta)
 
         # standard problem on the same reservoir activations
-        res_only = history.features[10:, :]
-        std_readout = train_readout(
-            type(history)(features=res_only), targets, beta)
-        padded = np.hstack([np.zeros((10, 10)), std_readout.weights])
+        res_only = features[10:, :]
+        std_readout = train_readout(res_only, targets, beta)
+        padded = np.hstack([np.zeros((10, 10)), std_readout])
 
         def loss(w):
-            return np.sum((w @ history.features - targets) ** 2) + beta * np.sum(w ** 2)
+            return np.sum((w @ features - targets) ** 2) + beta * np.sum(w ** 2)
 
-        assert loss(hybrid_readout.weights) <= loss(padded) + 1e-10
+        assert loss(hybrid_readout) <= loss(padded) + 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +305,7 @@ class TestHybridForecast:
         params, _ = sync_setup
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, True, 7, 8)
-        bad = Readout(weights=np.zeros((10, 300)))  # missing expert block
+        bad = np.zeros((10, 300))  # missing expert block
         with pytest.raises(ValueError):
             Instantiation(m, bad, ExpertModel(params))
 
@@ -318,16 +315,16 @@ class TestHybridForecast:
         expert = ExpertModel(params)
         standard = build_matrices(cfg, 10, False, 1, 2)
         hybrid = build_matrices(cfg, 10, True, 1, 2)
-        Instantiation(standard, Readout(np.zeros((10, 30))))
-        Instantiation(hybrid, Readout(np.zeros((10, 40))), expert)
+        Instantiation(standard, np.zeros((10, 30)))
+        Instantiation(hybrid, np.zeros((10, 40)), expert)
         Instantiation(expert=expert)
         bad = [
             (None, None, None),  # a model without a reservoir needs an expert
             (standard, None, None),  # matrices without a readout
-            (None, Readout(np.zeros((10, 30))), expert),  # a readout without matrices
-            (hybrid, Readout(np.zeros((10, 40))), None),  # hybrid B, no expert
-            (standard, Readout(np.zeros((10, 40))), expert),  # standard B with an expert
-            (standard, Readout(np.zeros((10, 40))), None),  # expert block but no expert
+            (None, np.zeros((10, 30)), expert),  # a readout without matrices
+            (hybrid, np.zeros((10, 40)), None),  # hybrid B, no expert
+            (standard, np.zeros((10, 40)), expert),  # standard B with an expert
+            (standard, np.zeros((10, 40)), None),  # expert block but no expert
         ]
         for matrices, readout, ex in bad:
             with pytest.raises(ValueError):
@@ -354,5 +351,5 @@ class TestHybridForecast:
         h1, _ = collect_states(traj[:, :101], m1, expert=e1)
         h2, _ = collect_states(traj[:, :101], m2, expert=e2)
         # expert blocks agree (same expert), reservoir blocks must differ
-        np.testing.assert_array_equal(h1.features[:10], h2.features[:10])
-        assert np.max(np.abs(h1.features[10:] - h2.features[10:])) > 1e-3
+        np.testing.assert_array_equal(h1[:10], h2[:10])
+        assert np.max(np.abs(h1[10:] - h2[10:])) > 1e-3

@@ -14,7 +14,7 @@ from hybrid_esn.io import (
     write_metric_csv,
     write_trajectory_csv,
 )
-from hybrid_esn.reservoir import ReservoirMatrices, Readout
+from hybrid_esn.reservoir import ReservoirMatrices
 
 
 class TestTrajectoryCsv:
@@ -93,7 +93,7 @@ class TestModelDump:
     def test_magic_and_header(self, tmp_path):
         path = tmp_path / "model.bin"
         m = _matrices()
-        save_model(path, Instantiation(m, Readout(weights=np.zeros((4, 8)))))
+        save_model(path, Instantiation(m, np.zeros((4, 8))))
         blob = path.read_bytes()
         assert blob[:8] == b"HESNMDL1"
         import struct
@@ -104,18 +104,18 @@ class TestModelDump:
         path = tmp_path / "model.bin"
         m = _matrices()
         rng = np.random.default_rng(1)
-        readout = Readout(weights=rng.normal(size=(4, 8)))
+        readout = rng.normal(size=(4, 8))
         save_model(path, Instantiation(m, readout))
         model = load_model(path)
         assert model.expert is None
         np.testing.assert_array_equal(model.matrices.internal.toarray(), m.internal.toarray())
         np.testing.assert_array_equal(model.matrices.input, m.input)
-        np.testing.assert_array_equal(model.readout.weights, readout.weights)
+        np.testing.assert_array_equal(model.readout, readout)
 
     def test_round_trip_hybrid_kuramoto(self, tmp_path):
         path = tmp_path / "model.bin"
         m = _matrices(d_r=6, d_in=8)
-        readout = Readout(weights=np.ones((4, 10)))
+        readout = np.ones((4, 10))
         params = KuramotoParams(omega=np.array([0.3, -0.7]), coupling=4.0)
         save_model(path, Instantiation(m, readout, ExpertModel(params=params, dt=0.1)))
         expert = load_model(path).expert
@@ -127,7 +127,7 @@ class TestModelDump:
     def test_round_trip_hybrid_biharmonic(self, tmp_path):
         path = tmp_path / "model.bin"
         m = _matrices(d_r=6, d_in=8)
-        readout = Readout(weights=np.ones((4, 10)))
+        readout = np.ones((4, 10))
         base = KuramotoParams(omega=np.array([0.01, -0.02]), coupling=1.0)
         params = BiHarmonicParams(base=base, gamma1=1.3, gamma2=np.pi,
                                   second_harmonic_scale=0.2)
@@ -152,8 +152,8 @@ class TestModelDump:
         traj = generate_trajectory(standard_regime("synchrony"), IntegratorConfig(), 300, 2)
         cfg = ReservoirConfig(size=60)
         m = build_matrices(cfg, 10, False, 0, 1)
-        history, targets = collect_states(traj[:, :201], m)
-        readout = train_readout(history, targets, cfg.regularization)
+        features, targets = collect_states(traj[:, :201], m)
+        readout = train_readout(features, targets, cfg.regularization)
         path = tmp_path / "model.bin"
         save_model(path, Instantiation(m, readout))
         loaded = load_model(path)
@@ -163,14 +163,14 @@ class TestModelDump:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_model(path, Instantiation(_matrices(), Readout(weights=np.zeros((4, 8)))))
+        save_model(path, Instantiation(_matrices(), np.zeros((4, 8))))
         path.write_bytes(path.read_bytes() + b"\x00" * 40)
         with pytest.raises(ValueError, match="40 trailing bytes"):
             load_model(path)
 
     def test_truncated_dump_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_model(path, Instantiation(_matrices(), Readout(weights=np.zeros((4, 8)))))
+        save_model(path, Instantiation(_matrices(), np.zeros((4, 8))))
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)

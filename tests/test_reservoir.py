@@ -11,7 +11,6 @@ from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
     generate_trajectory,
-    normalize_components,
     perturb_params,
     realize_regime,
     simulate,
@@ -23,8 +22,6 @@ from hybrid_esn.reservoir import (
     ReadoutTrainingError,
     ReservoirConfig,
     ReservoirMatrices,
-    Readout,
-    StateHistory,
     build_input_matrix,
     build_internal_matrix,
     build_matrices,
@@ -37,6 +34,7 @@ from hybrid_esn.reservoir import (
     train_readout,
     update_state,
 )
+from oracle import normalize_components
 
 
 class TestSpectralRadius:
@@ -240,35 +238,35 @@ class TestRidgeReadout:
         rng = np.random.default_rng(0)
         y = rng.normal(size=(3, 12))
         phi = np.tile(np.eye(3), 4)
-        readout = train_readout(StateHistory(features=phi), y, 0.0)
+        readout = train_readout(phi, y, 0.0)
         oracle = y @ phi.T @ np.linalg.inv(phi @ phi.T)
-        np.testing.assert_allclose(readout.weights, oracle, atol=1e-10)
+        np.testing.assert_allclose(readout, oracle, atol=1e-10)
 
     def test_matches_dense_normal_equation_oracle(self):
         rng = np.random.default_rng(42)
         phi = rng.normal(size=(8, 20))
         y = rng.normal(size=(3, 20))
         beta = 1e-3
-        readout = train_readout(StateHistory(features=phi), y, beta)
+        readout = train_readout(phi, y, beta)
         oracle = y @ phi.T @ np.linalg.inv(phi @ phi.T + beta * np.eye(8))
-        np.testing.assert_allclose(readout.weights, oracle, rtol=1e-8)
+        np.testing.assert_allclose(readout, oracle, rtol=1e-8)
 
     def test_scalar_shrinkage_example(self):
         # phi = [1], y = [1]: C = 1/(1+beta)
         phi = np.ones((1, 1))
         y = np.ones((1, 1))
-        readout = train_readout(StateHistory(features=phi), y, 1.0)
-        assert abs(readout.weights[0, 0] - 0.5) < 1e-14
+        readout = train_readout(phi, y, 1.0)
+        assert abs(readout[0, 0] - 0.5) < 1e-14
 
     def test_rank_deficient_zero_beta_raises(self):
         phi = np.zeros((4, 10))
         y = np.ones((2, 10))
         with pytest.raises(ReadoutTrainingError):
-            train_readout(StateHistory(features=phi), y, 0.0)
+            train_readout(phi, y, 0.0)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            train_readout(StateHistory(features=np.ones((1, 1))), np.ones((1, 1)), -1.0)
+            train_readout(np.ones((1, 1)), np.ones((1, 1)), -1.0)
 
     def test_optimality_against_perturbations(self):
         # the closed-form solution minimizes the ridge objective: no random
@@ -277,7 +275,7 @@ class TestRidgeReadout:
         phi = rng.normal(size=(10, 40))
         y = rng.normal(size=(4, 40))
         beta = 1e-2
-        c = train_readout(StateHistory(features=phi), y, beta).weights
+        c = train_readout(phi, y, beta)
 
         def loss(w):
             return np.sum((w @ phi - y) ** 2) + beta * np.sum(w ** 2)
@@ -291,7 +289,7 @@ class TestRidgeReadout:
         rng = np.random.default_rng(8)
         phi = rng.normal(size=(6, 30))
         y = rng.normal(size=(2, 30))
-        norms = [np.linalg.norm(train_readout(StateHistory(features=phi), y, b).weights)
+        norms = [np.linalg.norm(train_readout(phi, y, b))
                  for b in (1e-8, 1e-4, 1e-2, 1.0, 100.0)]
         assert all(n2 <= n1 + 1e-12 for n1, n2 in zip(norms, norms[1:]))
 
@@ -312,7 +310,7 @@ class TestRidgeInPlace:
                "strided": base[::2, ::3]}[layout]
         y = rng.normal(size=(10, 300))
         for beta in (0.0, 1e-6, 1e-1):
-            got = train_readout(StateHistory(features=phi), y, beta).weights
+            got = train_readout(phi, y, beta)
             assert np.array_equal(got, copying_ridge(phi, y, beta)), beta
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -321,13 +319,13 @@ class TestRidgeInPlace:
         phi = rng.normal(size=(6, 40))
         phi[2, 5] = bad
         with pytest.raises(ValueError):
-            train_readout(StateHistory(features=phi), rng.normal(size=(2, 40)), 1e-6)
+            train_readout(phi, rng.normal(size=(2, 40)), 1e-6)
 
     def test_features_not_modified(self):
         rng = np.random.default_rng(33)
         phi, y = rng.normal(size=(20, 80)), rng.normal(size=(3, 80))
         phi0, y0 = phi.copy(), y.copy()
-        train_readout(StateHistory(features=phi), y, 1e-3)
+        train_readout(phi, y, 1e-3)
         np.testing.assert_array_equal(phi, phi0)
         np.testing.assert_array_equal(y, y0)
 
@@ -337,7 +335,7 @@ class TestRidgeInPlace:
         phi, y = rng.normal(size=(3010, 1000)), rng.normal(size=(10, 1000))
         tracemalloc.start()
         try:
-            train_readout(StateHistory(features=phi), y, 1e-6)
+            train_readout(phi, y, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,17 +352,17 @@ class TestCollection:
     def test_shapes_standard(self, sync_training):
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, False, 1, 2)
-        history, targets = collect_states(sync_training, m)
-        assert history.features.shape == (300, 1000)
+        features, targets = collect_states(sync_training, m)
+        assert features.shape == (300, 1000)
         assert targets.shape == (10, 1000)
         np.testing.assert_array_equal(targets, sync_training[:, 1:])
 
     def test_first_column_uses_zero_initial_state(self, sync_training):
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, False, 1, 2)
-        history, _ = collect_states(sync_training[:, :3], m)
+        features, _ = collect_states(sync_training[:, :3], m)
         want = nonlinear_transform(update_state(np.zeros(300), sync_training[:, 0], m))
-        np.testing.assert_allclose(history.features[:, 0], want, atol=1e-15)
+        np.testing.assert_allclose(features[:, 0], want, atol=1e-15)
 
     def test_too_few_samples_rejected(self):
         cfg = ReservoirConfig()
@@ -377,15 +375,15 @@ class TestCollection:
         m = build_matrices(cfg, 10, False, 1, 2)
         h1, _ = collect_states(sync_training, m)
         h2, _ = collect_states(sync_training, m)
-        np.testing.assert_array_equal(h1.features, h2.features)
+        np.testing.assert_array_equal(h1, h2)
 
 
 @pytest.fixture(scope="module")
 def trained(sync_training):
     cfg = ReservoirConfig()
     m = build_matrices(cfg, 10, False, 11, 12)
-    history, targets = collect_states(sync_training, m)
-    readout = train_readout(history, targets, cfg.regularization)
+    features, targets = collect_states(sync_training, m)
+    readout = train_readout(features, targets, cfg.regularization)
     return cfg, m, readout
 
 
@@ -411,14 +409,13 @@ class TestForecast:
         warmup = sync_training[:, :200]
         preds = forecast(warmup, 10, m, readout)
         r = np.zeros(300)
-        from hybrid_esn.dynamics import normalize_components
         for t in range(warmup.shape[1]):
             r = update_state(r, warmup[:, t], m)
         for k in range(9):
-            u_hat = normalize_components(readout.weights @ nonlinear_transform(r))
+            u_hat = normalize_components(readout @ nonlinear_transform(r))
             np.testing.assert_allclose(u_hat, preds[:, k], atol=1e-9)
             r = update_state(r, u_hat, m)
-        last = normalize_components(readout.weights @ nonlinear_transform(r))
+        last = normalize_components(readout @ nonlinear_transform(r))
         np.testing.assert_allclose(last, preds[:, 9], atol=1e-9)
 
     def test_determinism(self, trained, sync_training):
@@ -435,7 +432,7 @@ class TestForecast:
     def test_abort_carries_prefix(self, trained, sync_training):
         cfg, m, _ = trained
         # a readout that always outputs zeros cannot be renormalized
-        bad = Readout(weights=np.zeros((10, 300)))
+        bad = np.zeros((10, 300))
         with pytest.raises(ForecastAbort) as err:
             forecast(sync_training[:, :100], 20, m, bad)
         assert err.value.step == 0
@@ -471,7 +468,7 @@ def reference_forecast(warmup, horizon, m, readout, expert=None):
     preds = np.empty((warmup.shape[0], horizon))
     for k in range(horizon):
         g = nonlinear_transform(r)
-        u_hat = readout.weights @ (np.concatenate([u_tilde, g]) if expert is not None else g)
+        u_hat = readout @ (np.concatenate([u_tilde, g]) if expert is not None else g)
         if not np.all(np.isfinite(u_hat)):
             return preds[:, :k]
         try:
@@ -519,8 +516,8 @@ def train_instantiations(setup, hybrid, size=60):
     for k in range(N_INST):
         m = build_matrices(cfg, 10, hybrid, 40 + k, 50 + k)
         expert = ExpertModel(perturb_params(params, 0.1, 0.1, 60 + k)) if hybrid else None
-        history, targets = collect_states(training, m, expert=expert)
-        members.append((m, train_readout(history, targets, cfg.regularization), expert))
+        features, targets = collect_states(training, m, expert=expert)
+        members.append((m, train_readout(features, targets, cfg.regularization), expert))
     return members
 
 
@@ -558,7 +555,7 @@ class TestLockstepForecast:
     def test_nan_readout_aborts_only_its_columns(self, lockstep_setup, hybrid):
         _, _, spans, _ = lockstep_setup
         members = train_instantiations(lockstep_setup, hybrid)
-        bad = Readout(weights=np.full_like(members[0][1].weights, np.nan))
+        bad = np.full_like(members[0][1], np.nan)
         members[0] = (members[0][0], bad, members[0][2])
         stack = stack_reservoirs([m for m, _, _ in members], [r for _, r, _ in members],
                                  N_SPANS)
