@@ -8,6 +8,7 @@ The HYBRID_ESN_SEED environment variable overrides the config master seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -50,6 +51,24 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
+def _write_atomically(path: Path, write, *args) -> None:
+    """`write(temp path, *args)`, then rename the temp file to `path`; exits 2 on an OSError.
+
+    The temp name ends in `.part`, never `.csv`, so a reader globbing the
+    directory sees only whole files; an interrupt or a failed write removes it.
+    """
+    part = path.with_name(path.name + ".part")
+    try:
+        write(part, *args)
+        os.replace(part, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # e.g. missing, or below a file
+            part.unlink()
+        if isinstance(exc, OSError):
+            _fail(f"cannot write {path}: {exc.strerror or exc}")
+        raise
+
+
 def _ground_truth(cfg, regime, n_steps):
     """(params, theta0, record of n_steps) of realization 0 under the config's seed."""
     spec = regime_spec(cfg.task, regime)  # raises ValueError on an unknown regime
@@ -79,10 +98,7 @@ def generate(config_path, regime, seed, out_path):
         _fail(str(exc))
     except NumericalBlowup as exc:
         _fail(str(exc), 3)
-    try:
-        hio.write_trajectory_csv(out_path, trajectory, cfg.layout.dt)
-    except OSError as exc:
-        _fail(f"cannot write {out_path}: {exc}")
+    _write_atomically(Path(out_path), hio.write_trajectory_csv, trajectory, cfg.layout.dt)
     base = params.base if isinstance(params, BiHarmonicParams) else params
     meta = {
         "task": cfg.task,
@@ -98,7 +114,7 @@ def generate(config_path, regime, seed, out_path):
         meta.update(gamma1=params.gamma1, gamma2=params.gamma2,
                     second_harmonic_scale=params.second_harmonic_scale)
     meta_path = Path(out_path).with_suffix(".meta.json")
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_atomically(meta_path, Path.write_text, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     click.echo(f"wrote {out_path} ({cfg.layout.total_steps + 1} samples) and {meta_path}")
 
 
@@ -134,10 +150,7 @@ def train(config_path, regime, model_kind, out_path):
     """Train one reservoir instantiation and save the (A, B, C) model dump."""
     cfg = _load(config_path)
     model, _ = _train_one(cfg, regime, model_kind, cfg.layout.training)
-    try:
-        hio.save_model(out_path, model)
-    except OSError as exc:
-        _fail(f"cannot write {out_path}: {exc}")
+    _write_atomically(Path(out_path), hio.save_model, model)
     click.echo(f"wrote model dump {out_path}")
 
 
@@ -160,30 +173,10 @@ def forecast_cmd(config_path, regime, model_kind, span, out_path):
                             expert=model.expert)
     except (ForecastAbort, FloatingPointError, ValueError) as exc:
         _fail(str(exc), 3)
-    try:
-        hio.write_trajectory_csv(out_path, preds, cfg.layout.dt)
-    except OSError as exc:
-        _fail(f"cannot write {out_path}: {exc}")
+    _write_atomically(Path(out_path), hio.write_trajectory_csv, preds, cfg.layout.dt)
     fr = ForecastResult(prediction=preds, truth=test, dt=cfg.layout.dt)
     click.echo(f"wrote forecast {out_path}")
     click.echo(f"mean_nmse={mean_nmse(fr):.9g} valid_time_s={valid_time(fr, cfg.epsilon):.9g}")
-
-
-def _write_atomically(path: Path, write, *args) -> None:
-    """`write(temp path, *args)`, then rename the temp file to `path`; exits 2 on an OSError.
-
-    The temp name ends in `.part`, never `.csv`, so a reader globbing the
-    directory sees only whole files; an interrupt or a failed write removes it.
-    """
-    part = path.with_name(path.name + ".part")
-    try:
-        write(part, *args)
-        os.replace(part, path)
-    except BaseException as exc:
-        part.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            _fail(f"cannot write {path}: {exc.strerror or exc}")
-        raise
 
 
 def _interrupt(signum, frame):
@@ -205,7 +198,7 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
     elif cfg.sweep is None:
         _fail("config has no sweep section")
     else:
-        stem = lambda key: f"{cfg.sweep.parameter}_{key:g}"
+        stem = cfg.sweep.point_name
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -283,7 +276,7 @@ def report(in_dir, plot):
     if not records:
         _fail(f"no metric records found in {in_dir}")
     summary = aggregate_report(records)
-    write_summary_csv(in_path / "summary.csv", summary)
+    _write_atomically(in_path / "summary.csv", write_summary_csv, summary)
     click.echo(f"wrote {in_path / 'summary.csv'} ({len(summary)} rows)")
     if plot:
         groups = defaultdict(list)
@@ -295,7 +288,7 @@ def report(in_dir, plot):
                 svg = render_sweep_svg(rows, metric=metric,
                                        title=f"{task} / {regime} / {param}")
                 path = in_path / f"{task}_{regime}_{param}_{metric}.svg"
-                path.write_text(svg)
+                _write_atomically(path, Path.write_text, svg)
                 click.echo(f"wrote {path}")
 
 

@@ -149,6 +149,17 @@ class SweepSpec:
         if len(self.values) < 1:
             raise ValueError("sweep needs at least one value")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        names = {}
+        for value in self.values:
+            name = self.point_name(value)
+            if name in names:
+                raise ValueError(f"sweep values {names[name]!r} and {value!r} both name "
+                                 f"the point {name}")
+            names[name] = value
+
+    def point_name(self, value: float) -> str:
+        """The name of a point's metric CSV (less `.csv`); distinct for every value."""
+        return f"{self.parameter}_{value:g}"
 
 
 @dataclass(frozen=True)
@@ -216,6 +227,10 @@ class RunManifest:
             raise ValueError("regimes must name at least one regime")
         for regime in self.regimes:
             regime_spec(self.task, regime)  # validates the name
+        repeated = sorted({r for r in self.regimes if self.regimes.count(r) > 1})
+        if repeated:
+            # every record of a repeated regime would be run and written twice
+            raise ValueError(f"regimes must not repeat: {', '.join(repeated)}")
 
 
 def regime_spec(task: str, name: str) -> RegimeSpec:

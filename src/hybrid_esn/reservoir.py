@@ -276,9 +276,10 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
 
 
 # Held from the Gram matrix's product through the solve, so that a process
-# holds one Gram matrix at a time (72 MB at size 3000).  Concurrent fits
-# under serial BLAS gained no time on a 2-core machine; the pool's threads
-# still overlap their matrix builds and state collection with a fit.
+# holds one Gram matrix at a time: min(d_feat, n_T)^2 doubles, at most 8 MB
+# with the paper's 1000 training samples.  Concurrent fits under serial BLAS
+# gained no time on a 2-core machine; the pool's threads still overlap their
+# matrix builds and state collection with a fit.
 _FIT_LOCK = threading.Lock()
 
 
@@ -298,18 +299,34 @@ def _ridge_solve(phi: np.ndarray, rhs: np.ndarray, beta: float) -> np.ndarray:
 def train_readout(features: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarray:
     """The readout array C = Y Phi^T (Phi Phi^T + beta I)^-1 of features Phi, targets Y.
 
-    Solved through a symmetric positive-definite factorization of the Gram
-    matrix, in place; no explicit inverse and no second Gram matrix is formed,
-    and fits on several threads take their turns.
+    Solved through a symmetric positive-definite factorization of the smaller
+    Gram matrix, in place; no explicit inverse and no second Gram matrix is
+    formed, and fits on several threads take their turns.  With more features
+    than training samples, the push-through identity
+    Phi^T (Phi Phi^T + beta I)^-1 = (Phi^T Phi + beta I)^-1 Phi^T gives the
+    same readout from the n_T x n_T Gram matrix Phi^T Phi (ridge regression in
+    dual variables, Saunders, Gammerman & Vovk 1998), where Phi Phi^T has rank
+    at most n_T and needs beta > 0.
     """
     if beta < 0:
         raise ValueError("regularization must be >= 0")
     if features.shape[1] != targets.shape[1]:
         raise ValueError("features and targets disagree on sample count")
-    rhs = features @ targets.T
+    d_feat, n_t = features.shape
+    if d_feat > n_t and beta == 0:
+        raise ReadoutTrainingError(
+            f"ridge solve failed: {d_feat} features but {n_t} training samples make "
+            "the Gram matrix rank deficient; use beta > 0"
+        )
     try:
-        with _FIT_LOCK:
-            c = _ridge_solve(features, rhs, beta).T
+        if d_feat <= n_t:
+            rhs = features @ targets.T
+            with _FIT_LOCK:
+                c = _ridge_solve(features, rhs, beta).T
+        else:
+            with _FIT_LOCK:
+                dual = _ridge_solve(features.T, targets.T, beta)
+            c = (features @ dual).T
     except scipy.linalg.LinAlgError as exc:
         raise ReadoutTrainingError(
             "ridge solve failed: Gram matrix is rank deficient; use beta > 0"

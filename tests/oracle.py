@@ -6,7 +6,9 @@ component-form field and RK4 step (one numpy expression per term, arrays
 allocated as they go); `dynamics.RK4Stepper` must equal them bit for bit.
 `normalize_components` is the raising one-state renormalization that the
 reference forecast loops apply, and `wrap_phases` maps phase-form results
-onto the circle.
+onto the circle.  `svd_ridge` is the ridge readout through a singular value
+decomposition of the features, which is backward stable whichever Gram
+matrix the program factors.
 """
 
 import numpy as np
@@ -34,6 +36,12 @@ def normalize_components(c) -> np.ndarray:
     out[..., 0::2] = x / r
     out[..., 1::2] = y / r
     return out
+
+
+def svd_ridge(phi, y, beta) -> np.ndarray:
+    """C = Y Phi^T (Phi Phi^T + beta I)^-1 as Y V diag(s / (s^2 + beta)) U^T, Phi = U S V^T."""
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    return ((y @ vt.T) * (s / (s * s + beta))) @ u.T
 
 
 def _check_phase_state(theta, n):

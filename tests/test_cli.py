@@ -510,13 +510,23 @@ def seed_env(value):
     ("sweep", {"layout": 5}, lambda p: [], "layout must be a JSON object"),
     ("sweep", {"sweep": {"parameter": "sigma_k", "values": 5}}, lambda p: [],
      "'int' object is not iterable"),
+    ("sweep", {"regimes": ["synchrony", "synchrony"]}, lambda p: [],
+     "regimes must not repeat: synchrony"),
+    ("grid", {"grid": True, "task": "residual_physics",
+              "regimes": ["synchrony", "heteroclinic_cycles", "synchrony"]}, lambda p: [],
+     "regimes must not repeat: synchrony"),
+    ("sweep", {"sweep": {"parameter": "sigma_k", "values": [0.0, 0.1, 0.0]}}, lambda p: [],
+     "sweep values 0.0 and 0.0 both name the point sigma_k_0"),
+    ("sweep", {"sweep": {"parameter": "sigma_k", "values": [0.1234567, 0.1234568]}},
+     lambda p: [], "sweep values 0.1234567 and 0.1234568 both name the point sigma_k_0.123457"),
 ], ids=["sweep_out_is_file", "grid_out_is_file", "out_below_file", "grid_regime",
         "threads_0", "threads_negative", "instantiations_0", "realizations_0",
         "instantiations_float", "realizations_str", "config_threads_float", "layout_dt",
         "integrator_dt", "master_seed_negative", "master_seed_str", "env_seed_negative",
         "generate_seed_negative", "substeps_float", "integrator_dt_str", "layout_test_float",
         "epsilon_negative", "models_empty", "regimes_empty", "grid_str", "output_dir_int",
-        "layout_not_object", "sweep_values_int"])
+        "layout_not_object", "sweep_values_int", "regimes_repeated", "grid_regimes_repeated",
+        "sweep_values_repeated", "sweep_values_same_name"])
 def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, config,
                                         extra, fragment):
     def no_integration(*args, **kwargs):
@@ -535,3 +545,57 @@ def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, 
     assert "Traceback" not in result.output
     assert not (tmp_path / "o").exists()
 
+
+
+METRIC_ROWS = (hio.METRIC_CSV_HEADER + "\n"
+               "parameter_error,synchrony,hybrid,sigma_k,0,0,0,0.1,1\n"
+               "parameter_error,synchrony,hybrid,sigma_k,0.1,0,0,0.2,0.5\n")
+
+
+@pytest.mark.parametrize("argv, owner, writer, target", [
+    (["generate", "--regime", "synchrony", "--out", "traj.csv"], hio, "write_trajectory_csv",
+     "traj.csv"),
+    (["generate", "--regime", "synchrony", "--out", "traj.csv"], Path, "write_text",
+     "traj.meta.json"),
+    (["train", "--regime", "synchrony", "--out", "model.bin"], hio, "save_model", "model.bin"),
+    (["forecast", "--regime", "synchrony", "--out", "pred.csv"], hio, "write_trajectory_csv",
+     "pred.csv"),
+    (["report"], cli, "write_summary_csv", "summary.csv"),
+    (["report", "--plot"], Path, "write_text", "parameter_error_synchrony_sigma_k_valid_time.svg"),
+], ids=["generate_csv", "generate_sidecar", "train_dump", "forecast_csv", "report_summary",
+        "report_svg"])
+def test_denied_write_exits_2(runner, tmp_path, monkeypatch, argv, owner, writer, target):
+    # a write that the file system refuses (a PermissionError, as for a
+    # read-only directory) ends the command with one error line and no temp file
+    real = getattr(owner, writer)
+
+    def denied(path, *args):
+        if Path(path).name.startswith(target):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path, *args)
+
+    monkeypatch.setattr(owner, writer, denied)
+    out = tmp_path / "out"
+    out.mkdir()
+    if argv[0] == "report":
+        (out / "points.csv").write_text(METRIC_ROWS)
+        argv = [*argv, "--in", str(out)]
+    else:
+        argv = [*argv[:-1], str(out / argv[-1]), "--config", str(write_config(tmp_path))]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: cannot write {out / target}: Permission denied"]
+    assert result.output.splitlines()[-1] == errors[0]
+    assert not (out / target).exists()
+    assert not list(out.glob("*.part"))
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "forecast"])
+def test_out_below_a_file_exits_2(runner, tmp_path, command):
+    (tmp_path / "taken").write_text("not a directory\n")
+    out = tmp_path / "taken" / "x.csv"
+    result = runner.invoke(main, [command, "--config", str(write_config(tmp_path)),
+                                  "--regime", "synchrony", "--out", str(out)])
+    assert_one_line_error(result, 2, f"cannot write {out}: Not a directory")

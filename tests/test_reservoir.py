@@ -34,7 +34,7 @@ from hybrid_esn.reservoir import (
     train_readout,
     update_state,
 )
-from oracle import normalize_components
+from oracle import normalize_components, svd_ridge
 
 
 class TestSpectralRadius:
@@ -330,16 +330,98 @@ class TestRidgeInPlace:
         np.testing.assert_array_equal(y, y0)
 
     def test_peak_memory_one_gram_matrix(self):
-        # 3010 features: the Gram matrix is 72 MB; a copying fit peaks at about 155 MB
-        rng = np.random.default_rng(34)
-        phi, y = rng.normal(size=(3010, 1000)), rng.normal(size=(10, 1000))
-        tracemalloc.start()
-        try:
-            train_readout(phi, y, 1e-6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
+        # 3010 features, 1000 samples: the dual Gram matrix is 8 MB; the primal
+        # one would be 72 MB, and a copying primal fit peaked at about 155 MB
+        assert peak_fit_bytes((3010, 1000)) < 12e6
+
+    def test_peak_memory_primal_side(self):
+        # 1000 features, 3010 samples: the primal Gram matrix is 8 MB, and a
+        # copying fit would hold a second one
+        assert peak_fit_bytes((1000, 3010)) < 12e6
+
+
+def peak_fit_bytes(shape):
+    """Peak traced allocation of one fit on random features of `shape`."""
+    rng = np.random.default_rng(34)
+    phi, y = rng.normal(size=shape), rng.normal(size=(10, shape[1]))
+    tracemalloc.start()
+    try:
+        train_readout(phi, y, 1e-6)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRidgeDual:
+    """More features than training samples: the n_T x n_T Gram matrix is factored."""
+
+    @pytest.fixture
+    def gram_sizes(self, monkeypatch):
+        sizes = []
+        real = reservoir._ridge_solve
+
+        def recorded(phi, rhs, beta):
+            sizes.append(phi.shape[0])
+            return real(phi, rhs, beta)
+
+        monkeypatch.setattr(reservoir, "_ridge_solve", recorded)
+        return sizes
+
+    @pytest.mark.parametrize("d_feat, n_t", [(60, 40), (310, 200), (200, 13)])
+    def test_matches_svd_and_normal_equation_oracles(self, gram_sizes, d_feat, n_t):
+        rng = np.random.default_rng(d_feat + n_t)
+        phi, y = rng.normal(size=(d_feat, n_t)), rng.normal(size=(3, n_t))
+        for beta in (1e-6, 1e-2, 1.0):
+            got = train_readout(phi, y, beta)
+            ref = svd_ridge(phi, y, beta)
+            normal = y @ phi.T @ np.linalg.inv(phi @ phi.T + beta * np.eye(d_feat))
+            assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref), beta
+            assert np.linalg.norm(got - normal) <= 1e-6 * np.linalg.norm(normal), beta
+        assert gram_sizes == [n_t] * 3
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["square", "one_more_feature"])
+    def test_both_sides_of_the_switch_match_svd_oracle(self, gram_sizes, extra):
+        rng = np.random.default_rng(35 + extra)
+        phi, y = rng.normal(size=(40 + extra, 40)), rng.normal(size=(2, 40))
+        for beta in (1e-6, 1e-2, 1.0):
+            ref = svd_ridge(phi, y, beta)
+            got = train_readout(phi, y, beta)
+            assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref), beta
+        assert gram_sizes == [40] * 3
+
+    def test_hybrid_layout_readout_matches_svd_oracle(self):
+        # the size sweep's hybrid arm at n = 1000: d_u expert rows above the
+        # reservoir's, n_T = 1000 samples, tanh-bounded features
+        rng = np.random.default_rng(36)
+        phi = np.tanh(rng.normal(size=(1010, 1000)))
+        phi[11::2] **= 2
+        y = rng.normal(size=(10, 1000))
+        ref = svd_ridge(phi, y, 1e-6)
+        got = train_readout(phi, y, 1e-6)
+        assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_zero_beta_raises_before_any_product(self, gram_sizes):
+        rng = np.random.default_rng(37)
+        phi, y = rng.normal(size=(41, 40)), rng.normal(size=(2, 40))
+        with pytest.raises(ReadoutTrainingError, match="41 features but 40 training samples"):
+            train_readout(phi, y, 0.0)
+        assert gram_sizes == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        rng = np.random.default_rng(38)
+        phi = rng.normal(size=(60, 40))
+        phi[2, 5] = bad
+        with pytest.raises(ValueError):
+            train_readout(phi, rng.normal(size=(2, 40)), 1e-6)
+
+    def test_features_not_modified(self):
+        rng = np.random.default_rng(39)
+        phi, y = rng.normal(size=(120, 80)), rng.normal(size=(3, 80))
+        phi0, y0 = phi.copy(), y.copy()
+        train_readout(phi, y, 1e-3)
+        np.testing.assert_array_equal(phi, phi0)
+        np.testing.assert_array_equal(y, y0)
 
 
 @pytest.fixture(scope="module")
