@@ -42,9 +42,7 @@ from .reservoir import (
     build_internal_matrix,
     collect_states,
     forecast,
-    nonlinear_transform,
     train_readout,
-    update_state,
 )
 
 __version__ = "0.1.0"

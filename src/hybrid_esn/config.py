@@ -109,12 +109,12 @@ _TOP_KEYS = (
 
 def _check_baselines(baselines: Baselines, sweep: SweepSpec | None) -> None:
     """Reject an out-of-range baseline or sweep value before anything runs."""
-    points = [("baselines", baselines)]
+    points = [("baselines", None)]
     if sweep is not None:
-        points += [(f"sweep value {sweep.parameter}={value:g}",
-                    baselines.with_param(sweep.parameter, value)) for value in sweep.values]
-    for where, point in points:
+        points += [(f"sweep value {sweep.parameter}={value:g}", value) for value in sweep.values]
+    for where, value in points:
         try:
+            point = baselines if value is None else baselines.with_param(sweep.parameter, value)
             point.reservoir_config()
             if point.sigma_k < 0 or point.sigma_omega < 0:
                 raise ValueError("error standard deviations must be non-negative")

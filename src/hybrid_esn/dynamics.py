@@ -29,7 +29,6 @@ __all__ = [
     "components_to_phases",
     "normalize_rows",
     "RK4Stepper",
-    "integrate_step",
     "sample_frequencies",
     "sample_initial_phases",
     "realize_regime",
@@ -421,30 +420,6 @@ class RK4Stepper:
         np.add.reduce(k, 0, None, stage)
         np.multiply(stage, sixth_h, stage)
         np.add(y, stage, y)
-
-
-def integrate_step(state, params, cfg: IntegratorConfig, duration: float) -> np.ndarray:
-    """Integrate the component-form ODE for `duration` seconds.
-
-    `state` is (2N,) or a (..., 2N) batch of rows.  The duration must be a
-    whole number of substeps (cfg.dt / cfg.substeps).  A non-finite state
-    raises NumericalBlowup with the 1-based number of the substep that
-    produced it.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    h = cfg.dt / cfg.substeps_per_sample
-    n = int(round(duration / h))
-    if n < 1 or abs(n * h - duration) > 1e-9 * max(1.0, abs(duration)):
-        raise ValueError("duration must be an integer multiple of the substep")
-    state = np.asarray(state, dtype=float)
-    stepper = RK4Stepper(params, state.shape[:-1], h)
-    stepper.load(state)
-    for i in range(n):
-        stepper.step()
-        if not np.isfinite(stepper.state).all():
-            raise NumericalBlowup(i + 1)
-    return stepper.components()
 
 
 # ---------------------------------------------------------------------------

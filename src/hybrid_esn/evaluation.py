@@ -124,13 +124,17 @@ def nmse_series(fr: ForecastResult) -> np.ndarray:
     The denominator is the root-mean-square norm of the test span's ground
     truth (sqrt(N) exactly for unit-circle states).
     """
-    denom = nmse_denominator(fr.truth)
-    return np.linalg.norm(fr.truth - fr.prediction, axis=0) / denom
+    return _error_norms(fr) / nmse_denominator(fr.truth)
+
+
+def _error_norms(fr: ForecastResult) -> np.ndarray:
+    """||u(t) - u*(t)|| per forecast step."""
+    return np.linalg.norm(fr.truth - fr.prediction, axis=0)
 
 
 def mean_nmse(fr: ForecastResult) -> float:
     """Arithmetic mean of the NMSE series over the whole forecast."""
-    return float(np.mean(nmse_series(fr)))
+    return span_metrics(_error_norms(fr), fr.truth, fr.dt)[0]
 
 
 def valid_time(fr: ForecastResult, epsilon: float = 0.4) -> float:
@@ -141,10 +145,7 @@ def valid_time(fr: ForecastResult, epsilon: float = 0.4) -> float:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    series = nmse_series(fr)
-    bad = np.flatnonzero(series > epsilon)
-    n_ok = series.size if bad.size == 0 else int(bad[0])
-    return n_ok * fr.dt
+    return span_metrics(_error_norms(fr), fr.truth, fr.dt, epsilon)[1]
 
 
 def span_metrics(error_norms: np.ndarray, truth: np.ndarray, dt: float,

@@ -119,6 +119,8 @@ class Baselines:
                 f"unknown sweep parameter {name!r}; valid: {', '.join(SWEEPABLE_PARAMETERS)}"
             )
         if name == "size":
+            if not float(value).is_integer():
+                raise ValueError(f"size must be an integer >= 1, got {value!r}")
             value = int(value)
         return replace(self, **{name: value})
 
@@ -322,12 +324,12 @@ def _forecast_records(manifest, model_kind, regime_name, spans, realization,
         # stepped forward, so its forecast covers test samples 1..H-1.
         truths = [test[:, 1:] for _, test in spans]
         warmups = np.stack([test[:, :1].T for _, test in spans], axis=1)
-        stack = None
+        stack = readouts = None
     else:
         truths = [test for _, test in spans]
         warmups = np.stack([warmup.T for warmup, _ in spans], axis=1)
-        stack = stack_reservoirs([m.matrices for m in members], [m.readout for m in members],
-                                 n_spans)
+        stack = stack_reservoirs([m.matrices for m in members], n_spans)
+        readouts = [m.readout for m in members]
     warmups = np.tile(warmups, (1, n_inst, 1))
     truth_steps = np.stack(truths).transpose(2, 1, 0).copy()  # (H, D_u, n_spans)
     d_u, horizon = truths[0].shape
@@ -343,7 +345,7 @@ def _forecast_records(manifest, model_kind, regime_name, spans, realization,
         np.multiply(diff, diff, out=diff)
         np.sqrt(np.add.reduce(squares, axis=0)[:n_cols], out=norms[k])
 
-    aborts = forecast_columns(warmups, horizon, score, stack, expert)
+    aborts = forecast_columns(warmups, horizon, score, stack, readouts, expert)
     records = []
     for col in range(n_cols):
         inst, k = divmod(col, n_spans)

@@ -27,8 +27,6 @@ __all__ = [
     "build_internal_matrix",
     "build_input_matrix",
     "build_matrices",
-    "update_state",
-    "nonlinear_transform",
     "collect_states",
     "train_readout",
     "ReservoirStack",
@@ -37,7 +35,7 @@ __all__ = [
     "forecast",
 ]
 
-from .dynamics import normalize_rows
+from .dynamics import check_count, normalize_rows
 
 
 class ReadoutTrainingError(RuntimeError):
@@ -77,8 +75,7 @@ class ReservoirConfig:
     knowledge_ratio: float = 0.5
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("reservoir size must be >= 1")
+        check_count("size", self.size)
         if self.spectral_radius <= 0:
             raise ValueError("spectral radius must be positive")
         if self.input_scaling <= 0:
@@ -219,18 +216,13 @@ def build_matrices(cfg: ReservoirConfig, d_u: int, hybrid: bool, internal_seed, 
     return ReservoirMatrices(internal=a, input=b)
 
 
-def update_state(r: np.ndarray, u: np.ndarray, m: ReservoirMatrices) -> np.ndarray:
-    """r' = tanh(A r + B u)."""
-    if r.shape[0] != m.d_r or u.shape[0] != m.d_in:
-        raise ValueError("state/input dimensions do not match the matrices")
-    return np.tanh(m.internal @ r + m.input @ u)
+def _apply_g(feat: np.ndarray, off: int) -> None:
+    """Turn [u_tilde; r] into the readout features [u_tilde; g(r)] along feat's last axis.
 
-
-def nonlinear_transform(r: np.ndarray) -> np.ndarray:
-    """Odd (1-based) entries pass through; even entries are squared."""
-    out = np.array(r, dtype=float, copy=True)
-    out[1::2] **= 2
-    return out
+    u_tilde is the first `off` entries.  g passes the odd (1-based) units of
+    r and squares the even ones, in place.
+    """
+    feat[..., off + 1::2] **= 2
 
 
 # Expert rows per teacher-forced call in `collect_states`.  The expert's
@@ -244,15 +236,18 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
 
     `training` is D_u x (n_T + 1).  Returns the arrays (features, targets):
     column t holds g(r_{t+1}) (standard) or [u_tilde_{t+1}; g(r_{t+1})]
-    (hybrid) in features, and the ground-truth next state in targets.
+    (hybrid) in features, and the ground-truth next state in targets.  The
+    reservoir is the one-column `ReservoirStack` of `m`.
     """
     if training.ndim != 2 or training.shape[1] < 2:
         raise ValueError("need at least 2 training samples")
     d_u, n_cols = training.shape
     n_t = n_cols - 1
-    d_feat = m.d_r + (d_u if expert is not None else 0)
-    features = np.empty((d_feat, n_t))
-    r = np.zeros(m.d_r)
+    off = d_u if expert is not None else 0
+    features = np.empty((off + m.d_r, n_t))
+    stack = stack_reservoirs([m], 1)
+    r = np.zeros((m.d_r, 1))
+    u_tilde = None
     for t in range(n_t):
         u = training[:, t]
         if expert is not None:
@@ -264,14 +259,13 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
                                               keep=False)
             # a failed row raises at its own step, as `step` does, after any
             # earlier CollectionError
-            u_tilde = tildes[j] if ok[j] else expert.step(u)
-            r = update_state(r, np.concatenate([u_tilde, u]), m)
-        else:
-            r = update_state(r, u, m)
+            u_tilde = (tildes[j] if ok[j] else expert.step(u))[None]
+            features[:off, t] = u_tilde[0]
+        r = stack.update(r, u[None], u_tilde)
         if not np.all(np.isfinite(r)):
             raise CollectionError(t)
-        g = nonlinear_transform(r)
-        features[:, t] = np.concatenate([u_tilde, g]) if expert is not None else g
+        features[off:, t] = r[:, 0]
+    _apply_g(features.T, off)
     return features, training[:, 1:]
 
 
@@ -340,22 +334,21 @@ def train_readout(features: np.ndarray, targets: np.ndarray, beta: float) -> np.
 
 @dataclass(frozen=True)
 class ReservoirStack:
-    """Trained instantiations stacked so that their forecasts advance in lock step.
+    """The reservoirs of instantiations, stacked so that their columns advance in lock step.
 
     Column c = k * n_spans + j runs instantiation k on span j.  The states of
     all columns form one (n_inst * d_r, n_spans) matrix: row block k holds
     instantiation k, so one block-diagonal product advances every column.
     B has one non-zero per row and is applied as a gather from the
-    (n_cols, d_in) input rows.  Every per-column product sums in the same
-    order as the one-column `update_state` and readout, so each column is
-    bitwise equal to a forecast of its own.
+    (n_cols, d_in) input rows.  Training steps the one-column stack of its
+    instantiation.  Every per-column product sums in the same order as the
+    plain one-state r' = tanh(A r + B u) (`update_state` in `tests/oracle.py`),
+    so each column is bitwise equal to it.
     """
 
     internal: scipy.sparse.csr_matrix  # block diagonal of the A matrices
     gather: np.ndarray  # (n_inst * d_r, n_spans) flat indices into the input rows
     weights: np.ndarray  # (n_inst * d_r, 1) the non-zero of each row of B
-    readouts: np.ndarray  # (n_inst, D_u, D_feat)
-    n_spans: int
 
     def update(self, r: np.ndarray, u: np.ndarray, u_tilde=None) -> np.ndarray:
         """r' = tanh(A r + B [u_tilde; u]) for every column; u is (n_cols, D_u)."""
@@ -364,26 +357,9 @@ class ReservoirStack:
         z += self.weights * np.take(x, self.gather)
         return np.tanh(z, out=z)
 
-    def readout(self, r: np.ndarray, u_tilde=None) -> np.ndarray:
-        """C_k [u_tilde; g(r)] for every column, as (n_cols, D_u) rows.
 
-        The stacked matmul runs one gemv per column: a single gemm over the
-        columns would round differently from the one-column product.
-        """
-        n_inst, n_spans = self.readouts.shape[0], self.n_spans
-        d_r = r.shape[0] // n_inst
-        off = 0 if u_tilde is None else u_tilde.shape[1]
-        feat = np.empty((n_inst, n_spans, off + d_r))
-        if u_tilde is not None:
-            feat[..., :off] = u_tilde.reshape(n_inst, n_spans, off)
-        feat[..., off:] = r.reshape(n_inst, d_r, n_spans).transpose(0, 2, 1)
-        feat[..., off + 1::2] **= 2  # nonlinear_transform
-        u_hat = np.matmul(self.readouts[:, None], feat[..., None])
-        return u_hat.reshape(n_inst * n_spans, -1)
-
-
-def stack_reservoirs(matrices, readouts, n_spans: int) -> ReservoirStack:
-    """Stack instantiations (matrices[k], readouts[k]) for `n_spans` spans each."""
+def stack_reservoirs(matrices, n_spans: int) -> ReservoirStack:
+    """Stack the reservoirs of instantiations `matrices` for `n_spans` spans each."""
     n_inst = len(matrices)
     d_r, d_in = matrices[0].d_r, matrices[0].d_in
     cols = np.empty((n_inst, d_r), dtype=np.intp)
@@ -401,21 +377,39 @@ def stack_reservoirs(matrices, readouts, n_spans: int) -> ReservoirStack:
         internal=scipy.sparse.block_diag([m.internal for m in matrices], format="csr"),
         gather=gather.reshape(n_inst * d_r, n_spans),
         weights=weights.reshape(n_inst * d_r, 1),
-        readouts=np.stack(readouts),
-        n_spans=n_spans,
     )
 
 
-def forecast_columns(warmups: np.ndarray, horizon: int, on_step, stack=None,
+def _readout(readouts: np.ndarray, r: np.ndarray, u_tilde=None) -> np.ndarray:
+    """C_k [u_tilde; g(r)] for every column of the stacked states r, as (n_cols, D_u) rows.
+
+    `readouts` is (n_inst, D_u, D_feat).  The stacked matmul runs one gemv
+    per column: a single gemm over the columns would round differently from
+    the one-column product.
+    """
+    n_inst, n_spans = readouts.shape[0], r.shape[1]
+    d_r = r.shape[0] // n_inst
+    off = 0 if u_tilde is None else u_tilde.shape[1]
+    feat = np.empty((n_inst, n_spans, off + d_r))
+    if u_tilde is not None:
+        feat[..., :off] = u_tilde.reshape(n_inst, n_spans, off)
+    feat[..., off:] = r.reshape(n_inst, d_r, n_spans).transpose(0, 2, 1)
+    _apply_g(feat, off)
+    u_hat = np.matmul(readouts[:, None], feat[..., None])
+    return u_hat.reshape(n_inst * n_spans, -1)
+
+
+def forecast_columns(warmups: np.ndarray, horizon: int, on_step, stack=None, readouts=None,
                      expert=None) -> np.ndarray:
     """Forecast many columns autoregressively in lock step.
 
     `warmups` is (W, n_cols, D_u): each column's warm-up inputs.  With a
-    reservoir `stack`, each column starts from r = 0, consumes its warm-up
-    feed-forward (through the expert too, if given) and then feeds back its
-    renormalized readout; an expert failure fails every column.  Without a
-    reservoir the expert alone forecasts from the last warm-up sample, and a
-    failed expert step aborts only its column.
+    reservoir `stack` and its instantiations' `readouts` C_k, each column
+    starts from r = 0, consumes its warm-up feed-forward (through the expert
+    too, if given) and then feeds back its renormalized readout; an expert
+    failure fails every column.  Without a reservoir the expert alone
+    forecasts from the last warm-up sample, and a failed expert step aborts
+    only its column.
 
     `on_step(k, u_hat)` receives the (n_cols, D_u) predictions of step k.
     A column whose prediction is non-finite or unnormalizable is aborted:
@@ -430,7 +424,8 @@ def forecast_columns(warmups: np.ndarray, horizon: int, on_step, stack=None,
     frozen = False
     u = warmups[-1]
     if stack is not None:
-        r = np.zeros((stack.internal.shape[0], stack.n_spans))
+        readouts = np.stack(readouts)
+        r = np.zeros(stack.gather.shape)
         u_tilde = None
         for u in warmups:
             if expert is not None:
@@ -440,7 +435,7 @@ def forecast_columns(warmups: np.ndarray, horizon: int, on_step, stack=None,
         if stack is None:
             u_hat, ok = expert.step_rows(u)
         else:
-            u_hat, ok = normalize_rows(stack.readout(r, u_tilde))
+            u_hat, ok = normalize_rows(_readout(readouts, r, u_tilde))
         if frozen or not ok.all():
             aborts[alive & ~ok] = k
             alive &= ok
@@ -476,7 +471,7 @@ def forecast(warmup: np.ndarray, horizon: int, m: ReservoirMatrices, readout: np
         preds[:, k] = u_hat[0]
 
     aborts = forecast_columns(np.ascontiguousarray(warmup.T[:, None, :]), horizon, keep,
-                              stack_reservoirs([m], [readout], 1), expert)
+                              stack_reservoirs([m], 1), [readout], expert)
     k = int(aborts[0])
     if k < horizon:
         raise ForecastAbort(preds[:, :k].copy(), k, "non-finite or unnormalizable prediction")

@@ -4,16 +4,28 @@ The phase-form right-hand sides are the oscillator models as the paper
 states them.  `component_rhs` and `rk4_step` are the straightforward
 component-form field and RK4 step (one numpy expression per term, arrays
 allocated as they go); `dynamics.RK4Stepper` must equal them bit for bit.
-`normalize_components` is the raising one-state renormalization that the
-reference forecast loops apply, and `wrap_phases` maps phase-form results
-onto the circle.  `svd_ridge` is the ridge readout through a singular value
-decomposition of the features, which is backward stable whichever Gram
-matrix the program factors.
+`integrate_step` runs that stepper for a whole duration, substep by
+substep.  `update_state` and `nonlinear_transform` are the one-state
+reservoir step r' = tanh(A r + B u) and feature map g as the paper states
+them; `reservoir.ReservoirStack` and the features of `collect_states` must
+equal them bit for bit.  `normalize_components` is the raising one-state
+renormalization that the reference forecast loops apply, and `wrap_phases`
+maps phase-form results onto the circle.  `svd_ridge` is the ridge readout
+through a singular value decomposition of the features, which is backward
+stable whichever Gram matrix the program factors.
 """
 
 import numpy as np
 
-from hybrid_esn.dynamics import BiHarmonicParams, KuramotoParams, _split_components
+from hybrid_esn.dynamics import (
+    BiHarmonicParams,
+    IntegratorConfig,
+    KuramotoParams,
+    NumericalBlowup,
+    RK4Stepper,
+    _split_components,
+)
+from hybrid_esn.reservoir import ReservoirMatrices
 
 
 def wrap_phases(theta):
@@ -114,3 +126,41 @@ def rk4_step(f, y, h):
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integrate_step(state, params, cfg: IntegratorConfig, duration: float) -> np.ndarray:
+    """Integrate the component-form ODE for `duration` seconds.
+
+    `state` is (2N,) or a (..., 2N) batch of rows.  The duration must be a
+    whole number of substeps (cfg.dt / cfg.substeps).  A non-finite state
+    raises NumericalBlowup with the 1-based number of the substep that
+    produced it.
+    """
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    h = cfg.dt / cfg.substeps_per_sample
+    n = int(round(duration / h))
+    if n < 1 or abs(n * h - duration) > 1e-9 * max(1.0, abs(duration)):
+        raise ValueError("duration must be an integer multiple of the substep")
+    state = np.asarray(state, dtype=float)
+    stepper = RK4Stepper(params, state.shape[:-1], h)
+    stepper.load(state)
+    for i in range(n):
+        stepper.step()
+        if not np.isfinite(stepper.state).all():
+            raise NumericalBlowup(i + 1)
+    return stepper.components()
+
+
+def update_state(r: np.ndarray, u: np.ndarray, m: ReservoirMatrices) -> np.ndarray:
+    """r' = tanh(A r + B u)."""
+    if r.shape[0] != m.d_r or u.shape[0] != m.d_in:
+        raise ValueError("state/input dimensions do not match the matrices")
+    return np.tanh(m.internal @ r + m.input @ u)
+
+
+def nonlinear_transform(r: np.ndarray) -> np.ndarray:
+    """Odd (1-based) entries pass through; even entries are squared."""
+    out = np.array(r, dtype=float, copy=True)
+    out[1::2] **= 2
+    return out

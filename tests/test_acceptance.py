@@ -15,7 +15,6 @@ import pytest
 from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
-    integrate_step,
     phases_to_components,
 )
 from hybrid_esn.evaluation import ForecastResult, SpanLayout, nmse_series, valid_time
@@ -30,7 +29,7 @@ from hybrid_esn.experiments import (
 )
 from hybrid_esn.io import write_metric_csv
 from hybrid_esn.reservoir import train_readout
-from oracle import kuramoto_rhs, rk4_step, wrap_phases
+from oracle import integrate_step, kuramoto_rhs, rk4_step, wrap_phases
 
 DESK_LAYOUT = SpanLayout(n_tests=5)
 THREADS = 8

@@ -519,6 +519,10 @@ def seed_env(value):
      "sweep values 0.0 and 0.0 both name the point sigma_k_0"),
     ("sweep", {"sweep": {"parameter": "sigma_k", "values": [0.1234567, 0.1234568]}},
      lambda p: [], "sweep values 0.1234567 and 0.1234568 both name the point sigma_k_0.123457"),
+    ("sweep", {"sweep": {"parameter": "size", "values": [30, 30.7]}}, lambda p: [],
+     "sweep value size=30.7: size must be an integer >= 1, got 30.7"),
+    ("sweep", {"baselines": {"size": 30.5}}, lambda p: [],
+     "baselines: size must be an integer >= 1, got 30.5"),
 ], ids=["sweep_out_is_file", "grid_out_is_file", "out_below_file", "grid_regime",
         "threads_0", "threads_negative", "instantiations_0", "realizations_0",
         "instantiations_float", "realizations_str", "config_threads_float", "layout_dt",
@@ -526,7 +530,8 @@ def seed_env(value):
         "generate_seed_negative", "substeps_float", "integrator_dt_str", "layout_test_float",
         "epsilon_negative", "models_empty", "regimes_empty", "grid_str", "output_dir_int",
         "layout_not_object", "sweep_values_int", "regimes_repeated", "grid_regimes_repeated",
-        "sweep_values_repeated", "sweep_values_same_name"])
+        "sweep_values_repeated", "sweep_values_same_name", "sweep_size_fractional",
+        "baselines_size_fractional"])
 def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, config,
                                         extra, fragment):
     def no_integration(*args, **kwargs):

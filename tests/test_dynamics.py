@@ -16,7 +16,6 @@ from hybrid_esn.dynamics import (
     biharmonic_regime,
     components_to_phases,
     generate_trajectory,
-    integrate_step,
     normalize_rows,
     perturb_params,
     phases_to_components,
@@ -27,7 +26,14 @@ from hybrid_esn.dynamics import (
     standard_regime,
 )
 from hybrid_esn.experiments import SeedScheme
-from oracle import biharmonic_rhs, component_rhs, kuramoto_rhs, normalize_components, rk4_step
+from oracle import (
+    biharmonic_rhs,
+    component_rhs,
+    integrate_step,
+    kuramoto_rhs,
+    normalize_components,
+    rk4_step,
+)
 
 RNG = np.random.default_rng(1234)
 

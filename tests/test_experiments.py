@@ -91,6 +91,11 @@ class TestBaselines:
     def test_size_coerced_to_int(self):
         assert Baselines().with_param("size", 500.0).size == 500
 
+    @pytest.mark.parametrize("value", [300.7, float("nan"), float("inf")])
+    def test_fractional_size_rejected(self, value):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            Baselines().with_param("size", value)
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             Baselines().with_param("leak_rate", 0.1)

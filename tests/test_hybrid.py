@@ -7,7 +7,6 @@ from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
     generate_trajectory,
-    integrate_step,
     normalize_rows,
     perturb_params,
     phases_to_components,
@@ -23,12 +22,18 @@ from hybrid_esn.reservoir import (
     build_matrices,
     collect_states,
     forecast,
-    nonlinear_transform,
     train_readout,
 )
 import scipy.sparse
 from hybrid_esn.io import save_model
-from oracle import component_rhs, kuramoto_rhs, normalize_components, rk4_step
+from oracle import (
+    component_rhs,
+    integrate_step,
+    kuramoto_rhs,
+    nonlinear_transform,
+    normalize_components,
+    rk4_step,
+)
 
 
 class TestExpertModel:

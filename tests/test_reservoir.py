@@ -28,13 +28,11 @@ from hybrid_esn.reservoir import (
     collect_states,
     forecast,
     forecast_columns,
-    nonlinear_transform,
     spectral_radius_of,
     stack_reservoirs,
     train_readout,
-    update_state,
 )
-from oracle import normalize_components, svd_ridge
+from oracle import nonlinear_transform, normalize_components, svd_ridge, update_state
 
 
 class TestSpectralRadius:
@@ -460,6 +458,58 @@ class TestCollection:
         np.testing.assert_array_equal(h1, h2)
 
 
+def oracle_collect(training, m, expert=None):
+    """The one-state loop that `collect_states` replaces: each column is
+    g(update_state(...)), behind u_tilde in the hybrid arm."""
+    r = np.zeros(m.d_r)
+    columns = []
+    for t in range(training.shape[1] - 1):
+        u = training[:, t]
+        if expert is None:
+            r = update_state(r, u, m)
+            columns.append(nonlinear_transform(r))
+        else:
+            u_tilde = expert.step(u)
+            r = update_state(r, np.concatenate([u_tilde, u]), m)
+            columns.append(np.concatenate([u_tilde, nonlinear_transform(r)]))
+    return np.stack(columns, axis=1)
+
+
+def flag_last_row(expert):
+    """Make the teacher-forced batches of `expert` flag their last row as
+    failed, so that `collect_states` steps that sample on its own."""
+    step_rows = expert.step_rows
+
+    def flagged(u, keep=True):
+        rows, ok = step_rows(u, keep)
+        ok = ok.copy()
+        ok[-1] = False
+        return rows, ok
+
+    expert.step_rows = flagged
+
+
+class TestCollectionOracle:
+    # 300 transitions: the teacher-forced blocks are t = 0..255 and 256..299
+    @pytest.mark.parametrize("arm", ["standard", "hybrid", "hybrid_fallback"])
+    def test_features_bitwise_equal_one_state_loop(self, arm):
+        params, theta0 = realize_regime(standard_regime("synchrony"), 5)
+        training = simulate(params, theta0, IntegratorConfig(), 300)
+        hybrid = arm != "standard"
+        m = build_matrices(ReservoirConfig(), 10, hybrid, 3, 4)
+        expert_params = perturb_params(params, 0.1, 0.1, 6)
+        expert = ExpertModel(expert_params) if hybrid else None
+        if arm == "hybrid_fallback":
+            flag_last_row(expert)  # t = 255 and t = 299 take the per-row fallback
+        features, targets = collect_states(training, m, expert=expert)
+        want = oracle_collect(training, m, ExpertModel(expert_params) if hybrid else None)
+        assert features.shape == want.shape == (m.d_r + (10 if hybrid else 0), 300)
+        assert features.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(targets, training[:, 1:])
+        if hybrid:
+            assert expert.calls == (302 if arm == "hybrid_fallback" else 300)
+
+
 @pytest.fixture(scope="module")
 def trained(sync_training):
     cfg = ReservoirConfig()
@@ -603,7 +653,7 @@ def train_instantiations(setup, hybrid, size=60):
     return members
 
 
-def run_lockstep(warmups, horizon, stack, expert):
+def run_lockstep(warmups, horizon, stack, readouts, expert):
     """Columns are instantiation-major: column k*N_SPANS + j is (k, j)."""
     warm = np.tile(np.stack([w.T for w in warmups], axis=1), (1, N_INST, 1))
     preds = np.full((horizon, warm.shape[1], warm.shape[2]), np.nan)
@@ -611,7 +661,7 @@ def run_lockstep(warmups, horizon, stack, expert):
     def keep(k, u_hat):
         preds[k] = u_hat
 
-    aborts = forecast_columns(warm, horizon, keep, stack, expert)
+    aborts = forecast_columns(warm, horizon, keep, stack, readouts, expert)
     return [preds[:aborts[c], c].T for c in range(warm.shape[1])], aborts
 
 
@@ -620,10 +670,9 @@ class TestLockstepForecast:
     def test_columns_equal_per_span_forecasts(self, lockstep_setup, hybrid):
         _, _, spans, _ = lockstep_setup
         members = train_instantiations(lockstep_setup, hybrid)
-        stack = stack_reservoirs([m for m, _, _ in members], [r for _, r, _ in members],
-                                 N_SPANS)
+        stack = stack_reservoirs([m for m, _, _ in members], N_SPANS)
         expert = stack_experts([e for _, _, e in members], N_SPANS) if hybrid else None
-        columns, aborts = run_lockstep(spans, HORIZON, stack, expert)
+        columns, aborts = run_lockstep(spans, HORIZON, stack, [r for _, r, _ in members], expert)
         assert np.all(aborts == HORIZON)
         for c, got in enumerate(columns):
             m, readout, ex = members[c // N_SPANS]
@@ -639,10 +688,9 @@ class TestLockstepForecast:
         members = train_instantiations(lockstep_setup, hybrid)
         bad = np.full_like(members[0][1], np.nan)
         members[0] = (members[0][0], bad, members[0][2])
-        stack = stack_reservoirs([m for m, _, _ in members], [r for _, r, _ in members],
-                                 N_SPANS)
+        stack = stack_reservoirs([m for m, _, _ in members], N_SPANS)
         expert = stack_experts([e for _, _, e in members], N_SPANS) if hybrid else None
-        columns, aborts = run_lockstep(spans, HORIZON, stack, expert)
+        columns, aborts = run_lockstep(spans, HORIZON, stack, [r for _, r, _ in members], expert)
         np.testing.assert_array_equal(aborts, [0] * N_SPANS + [HORIZON] * N_SPANS)
         for c, got in enumerate(columns):
             m, readout, ex = members[c // N_SPANS]
@@ -663,7 +711,7 @@ class TestLockstepForecast:
         def keep(k, u_hat):
             preds[k] = u_hat
 
-        aborts = forecast_columns(warm, HORIZON, keep, None, stack_experts(experts, N_SPANS))
+        aborts = forecast_columns(warm, HORIZON, keep, expert=stack_experts(experts, N_SPANS))
         for c in range(warm.shape[1]):
             want = reference_expert_forecast(starts[c % N_SPANS][:, 0], HORIZON,
                                              experts[c // N_SPANS])
