@@ -22,13 +22,14 @@ import click
 
 from . import io as hio
 from .config import ConfigError, load_config
-from .dynamics import NumericalBlowup, realize_regime, simulate, BiHarmonicParams
+from .dynamics import NumericalBlowup, simulate, BiHarmonicParams
 from .evaluation import ForecastResult, mean_nmse, segment, valid_time
 from .experiments import (
     SeedScheme,
     aggregate_report,
     check_grid_regimes,
-    regime_spec,
+    draw_ground_truth,
+    instantiation_context,
     run_grid_search,
     run_sweep,
     train_instantiation,
@@ -69,12 +70,10 @@ def _write_atomically(path: Path, write, *args) -> None:
         raise
 
 
-def _ground_truth(cfg, regime, n_steps):
-    """(params, theta0, record of n_steps) of realization 0 under the config's seed."""
-    spec = regime_spec(cfg.task, regime)  # raises ValueError on an unknown regime
-    rng = SeedScheme(cfg.master_seed).stream(cfg.task, regime, 0, 0, 0, "ground_truth")
-    params, theta0 = realize_regime(spec, rng)
-    return params, theta0, simulate(params, theta0, cfg.integrator, n_steps)
+def _ground_truth(manifest, regime, n_steps):
+    """(params, theta0, record of n_steps) of realization 0 under the manifest's seed."""
+    params, theta0 = draw_ground_truth(manifest, regime)  # ValueError on an unknown regime
+    return params, theta0, simulate(params, theta0, manifest.integrator, n_steps)
 
 
 @click.group()
@@ -89,23 +88,24 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def generate(config_path, regime, seed, out_path):
     """Generate one ground-truth trajectory CSV plus a sidecar metadata file."""
-    cfg = _load(config_path)
+    manifest = _load(config_path).manifest
     try:
         if seed is not None:
-            cfg = replace(cfg, master_seed=seed)
-        params, theta0, trajectory = _ground_truth(cfg, regime, cfg.layout.total_steps)
+            manifest = replace(manifest, master_seed=seed)
+        params, theta0, trajectory = _ground_truth(manifest, regime, manifest.layout.total_steps)
     except ValueError as exc:
         _fail(str(exc))
     except NumericalBlowup as exc:
         _fail(str(exc), 3)
-    _write_atomically(Path(out_path), hio.write_trajectory_csv, trajectory, cfg.layout.dt)
+    layout = manifest.layout
+    _write_atomically(Path(out_path), hio.write_trajectory_csv, trajectory, layout.dt)
     base = params.base if isinstance(params, BiHarmonicParams) else params
     meta = {
-        "task": cfg.task,
+        "task": manifest.task,
         "regime": regime,
-        "master_seed": cfg.master_seed,
-        "n_steps": cfg.layout.total_steps,
-        "dt": cfg.layout.dt,
+        "master_seed": manifest.master_seed,
+        "n_steps": layout.total_steps,
+        "dt": layout.dt,
         "omega": list(base.omega),
         "coupling": base.coupling,
         "theta0": list(theta0),
@@ -115,7 +115,7 @@ def generate(config_path, regime, seed, out_path):
                     second_harmonic_scale=params.second_harmonic_scale)
     meta_path = Path(out_path).with_suffix(".meta.json")
     _write_atomically(meta_path, Path.write_text, json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    click.echo(f"wrote {out_path} ({cfg.layout.total_steps + 1} samples) and {meta_path}")
+    click.echo(f"wrote {out_path} ({layout.total_steps + 1} samples) and {meta_path}")
 
 
 def _train_one(cfg, regime, model_kind, n_steps):
@@ -128,12 +128,13 @@ def _train_one(cfg, regime, model_kind, n_steps):
     """
     if model_kind not in ("standard", "hybrid"):
         _fail(f"unknown model {model_kind!r}; valid: standard, hybrid")
+    manifest = cfg.manifest
     try:
-        params, _, record = _ground_truth(cfg, regime, n_steps)
-        ctx = dict(task=cfg.task, regime=regime, realization=0, sweep_index=0, instantiation=0)
-        model = train_instantiation(cfg.manifest(), model_kind, cfg.baselines,
-                                    SeedScheme(cfg.master_seed),
-                                    record[:, :cfg.layout.training + 1], params, {}, ctx)
+        params, _, record = _ground_truth(manifest, regime, n_steps)
+        model = train_instantiation(manifest, model_kind, cfg.baselines,
+                                    SeedScheme(manifest.master_seed),
+                                    record[:, :manifest.layout.training + 1], params, {},
+                                    instantiation_context(manifest, regime))
     except (ValueError, ReadoutTrainingError) as exc:
         _fail(str(exc))
     except (NumericalBlowup, CollectionError, FloatingPointError) as exc:
@@ -149,7 +150,7 @@ def _train_one(cfg, regime, model_kind, n_steps):
 def train(config_path, regime, model_kind, out_path):
     """Train one reservoir instantiation and save the (A, B, C) model dump."""
     cfg = _load(config_path)
-    model, _ = _train_one(cfg, regime, model_kind, cfg.layout.training)
+    model, _ = _train_one(cfg, regime, model_kind, cfg.manifest.layout.training)
     _write_atomically(Path(out_path), hio.save_model, model)
     click.echo(f"wrote model dump {out_path}")
 
@@ -163,9 +164,10 @@ def train(config_path, regime, model_kind, out_path):
 def forecast_cmd(config_path, regime, model_kind, span, out_path):
     """Train one instantiation, forecast one test span, and report metrics."""
     cfg = _load(config_path)
-    if not (0 <= span < cfg.layout.n_tests):
-        _fail(f"span must be in [0, {cfg.layout.n_tests - 1}]")
-    layout = replace(cfg.layout, n_tests=span + 1)  # the record ends with this span's test
+    manifest = cfg.manifest
+    if not (0 <= span < manifest.layout.n_tests):
+        _fail(f"span must be in [0, {manifest.layout.n_tests - 1}]")
+    layout = replace(manifest.layout, n_tests=span + 1)  # the record ends with this span's test
     model, record = _train_one(cfg, regime, model_kind, layout.needed_samples - 1)
     warmup, test = segment(record, layout)[1][span]
     try:
@@ -173,10 +175,10 @@ def forecast_cmd(config_path, regime, model_kind, span, out_path):
                             expert=model.expert)
     except (ForecastAbort, FloatingPointError, ValueError) as exc:
         _fail(str(exc), 3)
-    _write_atomically(Path(out_path), hio.write_trajectory_csv, preds, cfg.layout.dt)
-    fr = ForecastResult(prediction=preds, truth=test, dt=cfg.layout.dt)
+    _write_atomically(Path(out_path), hio.write_trajectory_csv, preds, layout.dt)
+    fr = ForecastResult(prediction=preds, truth=test, dt=layout.dt)
     click.echo(f"wrote forecast {out_path}")
-    click.echo(f"mean_nmse={mean_nmse(fr):.9g} valid_time_s={valid_time(fr, cfg.epsilon):.9g}")
+    click.echo(f"mean_nmse={mean_nmse(fr):.9g} valid_time_s={valid_time(fr, manifest.epsilon):.9g}")
 
 
 def _interrupt(signum, frame):
@@ -189,9 +191,10 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
     if threads is not None and threads < 1:
         _fail(f"--threads must be >= 1, got {threads}")
     threads = cfg.threads if threads is None else threads
+    manifest = cfg.manifest
     if grid:
         try:
-            check_grid_regimes(cfg.regimes)
+            check_grid_regimes(manifest.regimes)
         except ValueError as exc:
             _fail(str(exc))
         stem = lambda key: f"grid_{key}"
@@ -214,7 +217,6 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
         finished.append(name)
         click.echo(status)
 
-    manifest = cfg.manifest()
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         if grid:

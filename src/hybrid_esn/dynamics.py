@@ -9,6 +9,7 @@ so most integration here happens in component form.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -16,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "check_count",
+    "check_real",
     "NumericalBlowup",
     "KuramotoParams",
     "BiHarmonicParams",
@@ -43,6 +45,24 @@ def check_count(name: str, value, low: int = 1) -> None:
     """Raise ValueError unless `value` is an integer (a bool is not one) of at least `low`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, high: float = math.inf, zero_ok: bool = False) -> None:
+    """Raise ValueError unless `value` is a finite real number (a bool is not one)
+    in (0, high], or in [0, high] if `zero_ok`."""
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value < 0 or (value == 0 and not zero_ok) or value > high:
+        if high < math.inf:
+            what = f"a number in {'[' if zero_ok else '('}0, {high:g}]"
+        else:
+            what = "a non-negative number" if zero_ok else "a positive number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class NumericalBlowup(RuntimeError):
@@ -206,8 +226,7 @@ class IntegratorConfig:
     substeps_per_sample: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check_real("dt", self.dt)
         check_count("substeps_per_sample", self.substeps_per_sample)
 
 

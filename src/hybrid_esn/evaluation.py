@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import check_count
+from .dynamics import check_count, check_real
 
 __all__ = [
     "SpanLayout",
@@ -43,8 +43,7 @@ class SpanLayout:
             check_count(name, getattr(self, name))
         if self.test < 2:
             raise ValueError("test must be >= 2: the bare-ODE forecast covers test - 1 samples")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check_real("dt", self.dt)
 
     @property
     def total_steps(self) -> int:

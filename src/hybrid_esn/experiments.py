@@ -12,7 +12,7 @@ import json
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -24,6 +24,7 @@ from .dynamics import (
     NumericalBlowup,
     RegimeSpec,
     check_count,
+    check_real,
     perturb_params,
     realize_regime,
     simulate_batch,
@@ -42,6 +43,7 @@ from .reservoir import (
 )
 
 __all__ = [
+    "MODELS",
     "SeedScheme",
     "Baselines",
     "SweepSpec",
@@ -50,6 +52,9 @@ __all__ = [
     "RunManifest",
     "SummaryRow",
     "regime_spec",
+    "draw_ground_truth",
+    "instantiation_context",
+    "check_record_names",
     "train_instantiation",
     "run_shared_procedure",
     "run_sweep",
@@ -58,7 +63,24 @@ __all__ = [
     "aggregate_report",
 ]
 
-_TASK_IDS = {"parameter_error": 1, "residual_physics": 2}
+MODELS = ("standard", "hybrid", "ode")
+
+
+@dataclass(frozen=True)
+class Task:
+    """One experiment task: its seed stream id, ground-truth regimes and default replication."""
+
+    stream_id: int
+    regime: object  # regime name -> RegimeSpec
+    regimes: tuple
+    n_realizations: int
+
+
+TASKS = {
+    "parameter_error": Task(1, dynamics.standard_regime, dynamics.STANDARD_REGIME_NAMES, 3),
+    "residual_physics": Task(2, dynamics.biharmonic_regime, dynamics.BIHARMONIC_REGIME_NAMES, 1),
+}
+
 _REGIME_IDS = {
     "synchrony": 1,
     "asynchrony": 2,
@@ -73,11 +95,6 @@ _ROLE_IDS = {
     "expert_error": 4,
     "ode_error": 5,
 }
-
-SWEEPABLE_PARAMETERS = (
-    "spectral_radius", "input_scaling", "regularization", "size",
-    "sigma_k", "sigma_omega", "knowledge_ratio", "mean_degree",
-)
 
 
 @dataclass(frozen=True)
@@ -94,15 +111,22 @@ class SeedScheme:
                sweep_index: int = 0, instantiation: int = 0,
                role: str = "ground_truth") -> np.random.Generator:
         seq = np.random.SeedSequence([
-            self.master, _TASK_IDS[task], _REGIME_IDS[regime],
+            self.master, TASKS[task].stream_id, _REGIME_IDS[regime],
             realization, sweep_index, instantiation, _ROLE_IDS[role],
         ])
         return np.random.Generator(np.random.Philox(seq))
 
 
+def _task_of(name: str) -> Task:
+    """The task named `name`; ValueError naming the valid tasks otherwise."""
+    if name not in TASKS:
+        raise ValueError(f"unknown task {name!r}; valid: {', '.join(TASKS)}")
+    return TASKS[name]
+
+
 @dataclass(frozen=True)
 class Baselines:
-    """All tunable model settings, defaulted to the baseline values."""
+    """All tunable model settings, defaulted to the baseline values; each is sweepable."""
 
     size: int = 300
     spectral_radius: float = 0.4
@@ -113,11 +137,20 @@ class Baselines:
     sigma_k: float = 0.05
     sigma_omega: float = 0.05
 
+    def __post_init__(self):
+        self.reservoir_config()
+        check_real("sigma_k", self.sigma_k, zero_ok=True)
+        check_real("sigma_omega", self.sigma_omega, zero_ok=True)
+
+    @staticmethod
+    def check_parameter(name: str) -> None:
+        """Raise ValueError unless `name` is a Baselines field, and so sweepable."""
+        names = [f.name for f in fields(Baselines)]
+        if name not in names:
+            raise ValueError(f"unknown sweep parameter {name!r}; valid: {', '.join(names)}")
+
     def with_param(self, name: str, value: float) -> "Baselines":
-        if name not in SWEEPABLE_PARAMETERS:
-            raise ValueError(
-                f"unknown sweep parameter {name!r}; valid: {', '.join(SWEEPABLE_PARAMETERS)}"
-            )
+        self.check_parameter(name)
         if name == "size":
             if not float(value).is_integer():
                 raise ValueError(f"size must be an integer >= 1, got {value!r}")
@@ -143,13 +176,12 @@ class SweepSpec:
     values: tuple
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE_PARAMETERS:
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}; "
-                f"valid: {', '.join(SWEEPABLE_PARAMETERS)}"
-            )
+        Baselines.check_parameter(self.parameter)
         if len(self.values) < 1:
             raise ValueError("sweep needs at least one value")
+        for value in self.values:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"sweep values must be numbers, got {value!r}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         names = {}
         for value in self.values:
@@ -198,33 +230,36 @@ GRID_REGIMES = ("synchrony", "heteroclinic_cycles", "partial_synchrony")
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What to run: task, regimes, replication counts, layout, seeding."""
+    """What to run: task, regimes, replication counts, layout, seeding.
+
+    `regimes` defaults to every regime of the task, and `n_realizations` to
+    the task's count.
+    """
 
     task: str
-    regimes: tuple
+    regimes: tuple | None = None
     n_instantiations: int = 40
-    n_realizations: int = 3
+    n_realizations: int | None = None
     layout: SpanLayout = SpanLayout()
     integrator: IntegratorConfig = IntegratorConfig()
     epsilon: float = 0.4
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.task not in _TASK_IDS:
-            raise ValueError(f"unknown task {self.task!r}")
+        task = _task_of(self.task)
+        if self.n_realizations is None:
+            object.__setattr__(self, "n_realizations", task.n_realizations)
         check_count("n_instantiations", self.n_instantiations)
         check_count("n_realizations", self.n_realizations)
         check_count("master_seed", self.master_seed, 0)
-        eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not eps > 0:
-            # every valid time would be 0
-            raise ValueError(f"epsilon must be a positive number, got {eps!r}")
+        check_real("epsilon", self.epsilon)  # at 0 every valid time would be 0
         if self.layout.dt != self.integrator.dt:
             # the expert steps the layout's dt between samples that are
             # integrated the integrator's dt apart
             raise ValueError(f"layout dt {self.layout.dt:g} must equal integrator dt "
                              f"{self.integrator.dt:g}")
-        object.__setattr__(self, "regimes", tuple(self.regimes))
+        object.__setattr__(self, "regimes",
+                           task.regimes if self.regimes is None else tuple(self.regimes))
         if not self.regimes:
             raise ValueError("regimes must name at least one regime")
         for regime in self.regimes:
@@ -238,11 +273,34 @@ class RunManifest:
 def regime_spec(task: str, name: str) -> RegimeSpec:
     """The ground-truth regime for a task: standard for the parameter error
     task, bi-harmonic for the residual physics task."""
-    if task == "parameter_error":
-        return dynamics.standard_regime(name)
-    if task == "residual_physics":
-        return dynamics.biharmonic_regime(name)
-    raise ValueError(f"unknown task {task!r}")
+    return _task_of(task).regime(name)
+
+
+def draw_ground_truth(manifest: RunManifest, regime_name: str, realization: int = 0,
+                      sweep_index: int = 0):
+    """(params, theta0) of one ground-truth record, drawn from its own stream."""
+    regime = regime_spec(manifest.task, regime_name)  # validates the name before the stream
+    return realize_regime(regime, SeedScheme(manifest.master_seed).stream(
+        manifest.task, regime_name, realization, sweep_index))
+
+
+def instantiation_context(manifest: RunManifest, regime_name: str, realization: int = 0,
+                          sweep_index: int = 0, instantiation: int = 0) -> dict:
+    """The stream context of one instantiation: `SeedScheme.stream`'s keys less the role."""
+    return dict(task=manifest.task, regime=regime_name, realization=realization,
+                sweep_index=sweep_index, instantiation=instantiation)
+
+
+def check_record_names(record: MetricRecord) -> None:
+    """Raise ValueError unless the record's task, regime, model and parameter name are ones
+    this program writes; report file names are built from them."""
+    regime_spec(record.task, record.regime)
+    if record.model not in MODELS:
+        raise ValueError(f"unknown model {record.model!r}; valid: {', '.join(MODELS)}")
+    params = ("baseline", *(f.name for f in fields(Baselines)),
+              *(f"grid_{p.label}" for p in GRID_POINTS))
+    if record.param_name not in params:
+        raise ValueError(f"unknown param_name {record.param_name!r}")
 
 
 def _integrate_ground_truths(manifest, regime_name, sweep_indices, cache) -> None:
@@ -254,12 +312,10 @@ def _integrate_ground_truths(manifest, regime_name, sweep_indices, cache) -> Non
     the NumericalBlowup it raised, which every arm reading it then raises in
     turn.
     """
-    scheme = SeedScheme(manifest.master_seed)
-    regime = regime_spec(manifest.task, regime_name)
     keys = [(manifest.task, regime_name, realization, idx)
             for idx in sweep_indices for realization in range(manifest.n_realizations)]
-    draws = [realize_regime(regime, scheme.stream(task, name, realization, idx))
-             for task, name, realization, idx in keys]
+    draws = [draw_ground_truth(manifest, regime_name, realization, idx)
+             for _, _, realization, idx in keys]
     records, failed = simulate_batch([p for p, _ in draws], [t for _, t in draws],
                                      manifest.integrator, manifest.layout.needed_samples - 1)
     for key, (base_params, _), record, step in zip(keys, draws, records, failed):
@@ -378,7 +434,7 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
     instantiation's internal matrix A from one RC arm to the next; pool
     threads train distinct instantiations, so they never share a key.
     """
-    if model_kind not in ("standard", "hybrid", "ode"):
+    if model_kind not in MODELS:
         raise ValueError(f"unknown model kind {model_kind!r}")
     scheme = SeedScheme(manifest.master_seed)
     cache = {} if ground_truth_cache is None else ground_truth_cache
@@ -393,8 +449,7 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
             raise entry
         record, base_params = entry
         training, spans = segment(record, manifest.layout)
-        contexts = [dict(task=manifest.task, regime=regime_name, realization=realization,
-                         sweep_index=sweep_index, instantiation=inst)
+        contexts = [instantiation_context(manifest, regime_name, realization, sweep_index, inst)
                     for inst in range(manifest.n_instantiations)]
         if model_kind == "ode":
             members = [Instantiation(expert=_perturbed_expert(
@@ -493,7 +548,7 @@ def _run_points(manifest, points, models, threads, on_point):
 
 
 def run_sweep(manifest: RunManifest, sweep: SweepSpec, baselines: Baselines = Baselines(),
-              models=("standard", "hybrid", "ode"), threads: int = 1,
+              models=MODELS, threads: int = 1,
               on_point=None):
     """Run every sweep point for every regime and model arm.
 
@@ -533,31 +588,8 @@ def run_grid_search(manifest: RunManifest, baselines: Baselines = Baselines(),
 
 
 def write_run_log(path, manifest: RunManifest, extra: dict | None = None) -> None:
-    """Order-stable JSON log of seeds and counts for reproducibility audits."""
-    payload = {
-        "task": manifest.task,
-        "regimes": list(manifest.regimes),
-        "n_instantiations": manifest.n_instantiations,
-        "n_realizations": manifest.n_realizations,
-        "master_seed": manifest.master_seed,
-        "epsilon": manifest.epsilon,
-        "layout": {
-            "training": manifest.layout.training,
-            "train_test_gap": manifest.layout.train_test_gap,
-            "warmup": manifest.layout.warmup,
-            "test": manifest.layout.test,
-            "test_test_gap": manifest.layout.test_test_gap,
-            "n_tests": manifest.layout.n_tests,
-            "dt": manifest.layout.dt,
-        },
-        "integrator": {
-            "dt": manifest.integrator.dt,
-            "substeps_per_sample": manifest.integrator.substeps_per_sample,
-        },
-        "timestamp_s": round(time.time(), 3),
-    }
-    if extra:
-        payload.update(extra)
+    """Order-stable JSON log of the manifest (seeds, counts, layout) for reproducibility audits."""
+    payload = {**asdict(manifest), "timestamp_s": round(time.time(), 3), **(extra or {})}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,21 +23,18 @@ __all__ = ["ExpertModel", "stack_experts", "Instantiation"]
 class ExpertModel:
     """One-step integrator of the (perturbed) Kuramoto model in component form.
 
-    States are (2N,) or a (..., 2N) batch of rows.  `calls` counts the rows
-    integrated; tests use it to pin the one-step-per-sample cost model.  The
-    RK4 stepper built for the last input shape is kept for the next call, so
-    one expert must not be stepped from two threads at once.
+    States are (2N,) or a (..., 2N) batch of rows.  The RK4 stepper built for
+    the last input shape is kept for the next call, so one expert must not be
+    stepped from two threads at once.
     """
 
     params: object  # KuramotoParams | BiHarmonicParams | RowParams
     dt: float = 0.1
-    calls: int = field(default=0, compare=False)
     _stepper: RK4Stepper | None = field(default=None, init=False, repr=False, compare=False)
 
     def _advance(self, u, keep=True):
         """One normalized RK4 step of the rows of u: (stepper, ok) as `RK4Stepper.normalize`."""
         u = np.asarray(u, float)
-        self.calls += u.size // u.shape[-1]
         stepper = self._stepper
         if (stepper is None or stepper.lead != u.shape[:-1] or stepper.params is not self.params
                 or stepper.h != self.dt):

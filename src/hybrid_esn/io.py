@@ -11,6 +11,7 @@ import scipy.sparse
 
 from .dynamics import BiHarmonicParams, KuramotoParams
 from .evaluation import MetricRecord
+from .experiments import check_record_names
 from .hybrid import ExpertModel, Instantiation
 from .reservoir import ReservoirMatrices
 
@@ -68,7 +69,8 @@ def write_metric_csv(path, records) -> None:
 
 
 def read_metric_csv(path):
-    """MetricRecord rows; ValueError on a missing column or a cell that does not parse."""
+    """MetricRecord rows; ValueError on a missing column, a cell that does not parse, or a
+    task, regime, model or parameter name that the program does not write."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -77,14 +79,16 @@ def read_metric_csv(path):
             raise ValueError(f"missing column(s) {', '.join(missing)}")
         for row in reader:
             try:
-                records.append(MetricRecord(
+                record = MetricRecord(
                     task=row["task"], regime=row["regime"], model=row["model"],
                     param_name=row["param_name"], param_value=float(row["param_value"]),
                     instantiation=int(row["instantiation"]), span=int(row["span"]),
                     mean_nmse=float(row["mean_nmse"]), valid_time=float(row["valid_time_s"]),
-                ))
+                )
+                check_record_names(record)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from exc
+            records.append(record)
     return records
 
 

@@ -35,7 +35,7 @@ __all__ = [
     "forecast",
 ]
 
-from .dynamics import check_count, normalize_rows
+from .dynamics import check_count, check_real, normalize_rows
 
 
 class ReadoutTrainingError(RuntimeError):
@@ -76,16 +76,11 @@ class ReservoirConfig:
 
     def __post_init__(self):
         check_count("size", self.size)
-        if self.spectral_radius <= 0:
-            raise ValueError("spectral radius must be positive")
-        if self.input_scaling <= 0:
-            raise ValueError("input scaling must be positive")
-        if not (0 < self.mean_degree <= self.size):
-            raise ValueError("mean degree must be in (0, size]")
-        if self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
-        if not (0.0 <= self.knowledge_ratio <= 1.0):
-            raise ValueError("knowledge ratio must be in [0, 1]")
+        check_real("spectral_radius", self.spectral_radius)
+        check_real("input_scaling", self.input_scaling)
+        check_real("mean_degree", self.mean_degree, high=self.size)
+        check_real("regularization", self.regularization, zero_ok=True)
+        check_real("knowledge_ratio", self.knowledge_ratio, high=1.0, zero_ok=True)
 
 
 @dataclass(frozen=True)

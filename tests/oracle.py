@@ -12,7 +12,9 @@ equal them bit for bit.  `normalize_components` is the raising one-state
 renormalization that the reference forecast loops apply, and `wrap_phases`
 maps phase-form results onto the circle.  `svd_ridge` is the ridge readout
 through a singular value decomposition of the features, which is backward
-stable whichever Gram matrix the program factors.
+stable whichever Gram matrix the program factors.  `count_expert_rows` is a
+spy that counts the rows an expert integrates, to pin the
+one-step-per-sample cost model.
 """
 
 import numpy as np
@@ -164,3 +166,18 @@ def nonlinear_transform(r: np.ndarray) -> np.ndarray:
     out = np.array(r, dtype=float, copy=True)
     out[1::2] **= 2
     return out
+
+
+def count_expert_rows(expert) -> list:
+    """Wrap `expert.step` and `expert.step_rows` on the instance; the returned
+    one-item list counts the rows they integrate."""
+    rows = [0]
+    for name in ("step", "step_rows"):
+        method = getattr(expert, name)
+
+        def counted(u, *args, _method=method, **kwargs):
+            rows[0] += np.size(u) // np.shape(u)[-1]
+            return _method(u, *args, **kwargs)
+
+        setattr(expert, name, counted)
+    return rows

@@ -194,14 +194,15 @@ class TestTrainForecast:
         # prints the metrics of its record for every span
         path = write_config(tmp_path)
         cfg = load_config(path)
+        man = cfg.manifest
         cache = {}
-        records = run_shared_procedure(cfg.manifest(), model, cfg.baselines, "synchrony",
+        records = run_shared_procedure(man, model, cfg.baselines, "synchrony",
                                        ground_truth_cache=cache)
-        record, params = cache[(cfg.task, "synchrony", 0, 0)]
-        ctx = dict(task=cfg.task, regime="synchrony", realization=0, sweep_index=0,
+        record, params = cache[(man.task, "synchrony", 0, 0)]
+        ctx = dict(task=man.task, regime="synchrony", realization=0, sweep_index=0,
                    instantiation=0)
-        want = train_instantiation(cfg.manifest(), model, cfg.baselines,
-                                   SeedScheme(cfg.master_seed), segment(record, cfg.layout)[0],
+        want = train_instantiation(man, model, cfg.baselines,
+                                   SeedScheme(man.master_seed), segment(record, man.layout)[0],
                                    params, {}, ctx)
         out = tmp_path / "model.bin"
         result = runner.invoke(main, ["train", "--config", str(path), "--regime", "synchrony",
@@ -312,7 +313,7 @@ class TestSweepGridReport:
     def test_grid_outputs_eight_points(self, runner, tmp_path):
         cfg = write_config(tmp_path, task="residual_physics",
                            regimes=["synchrony"],
-                           baselines={"size": 30}, grid=True)
+                           baselines={"size": 30})
         out = tmp_path / "grid"
         result = runner.invoke(main, ["grid", "--config", str(cfg),
                                       "--out", str(out)])
@@ -365,6 +366,24 @@ class TestSweepGridReport:
         assert_one_line_error(result, 2, f"cannot read metric CSV {tmp_path / 'points.csv'}: ")
         assert fragment in result.output
         assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("row, fragment", [
+        ("../escaped,synchrony,hybrid,sigma_k,0,0,0,0.1,1", "unknown task '../escaped'"),
+        ("parameter_error,../x,hybrid,sigma_k,0,0,0,0.1,1", "unknown standard regime '../x'"),
+        ("parameter_error,synchrony,../x,sigma_k,0,0,0,0.1,1", "unknown model '../x'"),
+        ("parameter_error,synchrony,hybrid,../x,0,0,0,0.1,1", "unknown param_name '../x'"),
+    ], ids=["task", "regime", "model", "param_name"])
+    def test_report_unknown_name_exits_2(self, runner, tmp_path, row, fragment):
+        # SVG names are built from these cells, so a crafted one must not
+        # steer a write outside --in
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        (in_dir / "points.csv").write_text(METRIC_ROWS + row + "\n")
+        result = runner.invoke(main, ["report", "--in", str(in_dir), "--plot"])
+        assert_one_line_error(
+            result, 2, f"cannot read metric CSV {in_dir / 'points.csv'}: line 4: {fragment}")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "in", "in/points.csv"]
 
 
 class TestStreamedPoints:
@@ -474,18 +493,18 @@ def seed_env(value):
 
 @pytest.mark.parametrize("command, config, extra, fragment", [
     ("sweep", {}, bad_out_file, "taken"),
-    ("grid", {"grid": True}, bad_out_file, "taken"),
+    ("grid", {}, bad_out_file, "taken"),
     ("sweep", {}, bad_out_below_file, "taken/results"),
-    ("grid", {"grid": True, "regimes": ["asynchrony"]}, lambda p: [], "'asynchrony'"),
+    ("grid", {"regimes": ["asynchrony"]}, lambda p: [], "'asynchrony'"),
     ("sweep", {}, lambda p: ["--threads", "0"], "--threads must be >= 1"),
-    ("grid", {"grid": True}, lambda p: ["--threads", "-2"], "--threads must be >= 1"),
+    ("grid", {}, lambda p: ["--threads", "-2"], "--threads must be >= 1"),
     ("sweep", {"n_instantiations": 0}, lambda p: [],
      "n_instantiations must be an integer >= 1, got 0"),
     ("sweep", {"n_realizations": 0}, lambda p: [],
      "n_realizations must be an integer >= 1, got 0"),
     ("sweep", {"n_instantiations": 2.5}, lambda p: [],
      "n_instantiations must be an integer >= 1, got 2.5"),
-    ("grid", {"grid": True, "n_realizations": "2"}, lambda p: [],
+    ("grid", {"n_realizations": "2"}, lambda p: [],
      "n_realizations must be an integer >= 1"),
     ("sweep", {"threads": 1.5}, lambda p: [], "threads must be an integer >= 1, got 1.5"),
     ("sweep", {"layout": {**TINY_LAYOUT, "dt": 0.05}}, lambda p: [],
@@ -499,20 +518,20 @@ def seed_env(value):
      "master_seed must be an integer >= 0, got -1"),
     ("sweep", {"integrator": {"substeps_per_sample": 2.5}}, lambda p: [],
      "substeps_per_sample must be an integer >= 1, got 2.5"),
-    ("sweep", {"integrator": {"dt": "a"}}, lambda p: [], "'<=' not supported"),
+    ("sweep", {"integrator": {"dt": "a"}}, lambda p: [], "dt must be a finite number, got 'a'"),
     ("sweep", {"layout": {**TINY_LAYOUT, "test": 40.5}}, lambda p: [],
      "test must be an integer >= 1, got 40.5"),
     ("sweep", {"epsilon": -1}, lambda p: [], "epsilon must be a positive number, got -1"),
     ("sweep", {"models": []}, lambda p: [], "models must name at least one model arm"),
     ("sweep", {"regimes": []}, lambda p: [], "regimes must name at least one regime"),
-    ("sweep", {"grid": "no"}, lambda p: [], "grid must be true or false, got 'no'"),
+    ("sweep", {"grid": True}, lambda p: [], "unknown key(s) in config: grid"),
     ("sweep", {"output_dir": 5}, lambda p: [], "output_dir must be a string, got 5"),
     ("sweep", {"layout": 5}, lambda p: [], "layout must be a JSON object"),
     ("sweep", {"sweep": {"parameter": "sigma_k", "values": 5}}, lambda p: [],
      "'int' object is not iterable"),
     ("sweep", {"regimes": ["synchrony", "synchrony"]}, lambda p: [],
      "regimes must not repeat: synchrony"),
-    ("grid", {"grid": True, "task": "residual_physics",
+    ("grid", {"task": "residual_physics",
               "regimes": ["synchrony", "heteroclinic_cycles", "synchrony"]}, lambda p: [],
      "regimes must not repeat: synchrony"),
     ("sweep", {"sweep": {"parameter": "sigma_k", "values": [0.0, 0.1, 0.0]}}, lambda p: [],
@@ -523,15 +542,30 @@ def seed_env(value):
      "sweep value size=30.7: size must be an integer >= 1, got 30.7"),
     ("sweep", {"baselines": {"size": 30.5}}, lambda p: [],
      "baselines: size must be an integer >= 1, got 30.5"),
+    ("sweep", {"baselines": {"regularization": float("nan")}}, lambda p: [],
+     "baselines: regularization must be a finite number, got nan"),
+    ("sweep", {"baselines": {"spectral_radius": float("inf")}}, lambda p: [],
+     "baselines: spectral_radius must be a finite number, got inf"),
+    ("sweep", {"baselines": {"spectral_radius": True}}, lambda p: [],
+     "baselines: spectral_radius must be a finite number, got True"),
+    ("sweep", {"sweep": {"parameter": "sigma_k", "values": [0.0, float("nan")]}}, lambda p: [],
+     "sweep value sigma_k=nan: sigma_k must be a finite number, got nan"),
+    ("generate", {"integrator": {"dt": float("inf")}}, lambda p: ["--regime", "synchrony"],
+     "dt must be a finite number, got inf"),
+    ("sweep", {"epsilon": float("inf")}, lambda p: [], "epsilon must be a finite number, got inf"),
+    ("sweep", {"sweep": {"parameter": "sigma_k", "values": [0.0, True]}}, lambda p: [],
+     "sweep values must be numbers, got True"),
 ], ids=["sweep_out_is_file", "grid_out_is_file", "out_below_file", "grid_regime",
         "threads_0", "threads_negative", "instantiations_0", "realizations_0",
         "instantiations_float", "realizations_str", "config_threads_float", "layout_dt",
         "integrator_dt", "master_seed_negative", "master_seed_str", "env_seed_negative",
         "generate_seed_negative", "substeps_float", "integrator_dt_str", "layout_test_float",
-        "epsilon_negative", "models_empty", "regimes_empty", "grid_str", "output_dir_int",
+        "epsilon_negative", "models_empty", "regimes_empty", "grid_key", "output_dir_int",
         "layout_not_object", "sweep_values_int", "regimes_repeated", "grid_regimes_repeated",
         "sweep_values_repeated", "sweep_values_same_name", "sweep_size_fractional",
-        "baselines_size_fractional"])
+        "baselines_size_fractional", "regularization_nan", "spectral_radius_inf",
+        "spectral_radius_bool", "sweep_value_nan", "integrator_dt_inf", "epsilon_inf",
+        "sweep_value_bool"])
 def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, config,
                                         extra, fragment):
     def no_integration(*args, **kwargs):

@@ -6,11 +6,10 @@ from hybrid_esn.config import (
     SCHEMA_VERSION,
     SEED_ENV_VAR,
     ConfigError,
-    ExperimentConfig,
     load_config,
     parse_config,
 )
-from hybrid_esn.experiments import Baselines
+from hybrid_esn.experiments import Baselines, RunManifest
 
 
 def minimal_doc(**kw):
@@ -22,20 +21,21 @@ def minimal_doc(**kw):
 class TestParsing:
     def test_minimal_config_fills_baselines(self):
         cfg = parse_config(minimal_doc())
-        assert cfg.task == "parameter_error"
-        assert cfg.regimes == ("synchrony", "asynchrony", "multi_frequency")
+        man = cfg.manifest
+        assert man.task == "parameter_error"
+        assert man.regimes == ("synchrony", "asynchrony", "multi_frequency")
         assert cfg.baselines == Baselines()
-        assert cfg.n_instantiations == 40
-        assert cfg.n_realizations == 3  # parameter-error default
-        assert cfg.epsilon == 0.4
-        assert cfg.layout.total_steps == 62_000
-        assert cfg.integrator.dt == 0.1
-        assert cfg.integrator.substeps_per_sample == 10
+        assert man.n_instantiations == 40
+        assert man.n_realizations == 3  # parameter-error default
+        assert man.epsilon == 0.4
+        assert man.layout.total_steps == 62_000
+        assert man.integrator.dt == 0.1
+        assert man.integrator.substeps_per_sample == 10
 
     def test_residual_task_defaults(self):
-        cfg = parse_config(minimal_doc(task="residual_physics"))
-        assert cfg.n_realizations == 1
-        assert cfg.regimes == ("synchrony", "asynchrony", "heteroclinic_cycles",
+        man = parse_config(minimal_doc(task="residual_physics")).manifest
+        assert man.n_realizations == 1
+        assert man.regimes == ("synchrony", "asynchrony", "heteroclinic_cycles",
                                "partial_synchrony")
 
     def test_schema_version_required(self):
@@ -58,10 +58,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="heteroclinic"):
             parse_config(minimal_doc(regimes=["heteroclinic_cycles"]))
 
-    def test_sweep_and_grid_mutually_exclusive(self):
-        doc = minimal_doc(sweep={"parameter": "sigma_k", "values": [0.0, 0.1]},
-                          grid=True)
-        with pytest.raises(ConfigError, match="both"):
+    def test_grid_key_rejected(self):
+        # the grid command runs the 8 corners of any config; there is no grid key
+        doc = minimal_doc(sweep={"parameter": "sigma_k", "values": [0.0, 0.1]}, grid=True)
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in config: grid$"):
             parse_config(doc)
 
     def test_sweep_parameter_validated(self):
@@ -76,19 +76,19 @@ class TestParsing:
 
     def test_layout_inherits_integrator_dt(self):
         cfg = parse_config(minimal_doc(integrator={"dt": 0.05}))
-        assert cfg.layout.dt == 0.05
+        assert cfg.manifest.layout.dt == 0.05
 
 
 class TestSeedOverride:
     def test_env_var_wins(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "1234")
         cfg = parse_config(minimal_doc(master_seed=7))
-        assert cfg.master_seed == 1234
+        assert cfg.manifest.master_seed == 1234
 
     def test_env_var_absent_uses_config(self, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         cfg = parse_config(minimal_doc(master_seed=7))
-        assert cfg.master_seed == 7
+        assert cfg.manifest.master_seed == 7
 
     def test_non_integer_env_var_rejected(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
@@ -99,8 +99,8 @@ class TestSeedOverride:
 class TestRoundTrip:
     def test_manifest_projection(self):
         cfg = parse_config(minimal_doc(regimes=["synchrony"], n_instantiations=3))
-        man = cfg.manifest()
-        assert man.task == cfg.task
+        man = cfg.manifest
+        assert man.task == "parameter_error"
         assert man.regimes == ("synchrony",)
         assert man.n_instantiations == 3
         assert man.n_realizations == 3
@@ -112,7 +112,7 @@ class TestLoadConfig:
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_doc(master_seed=3)))
-        assert load_config(path).master_seed == 3
+        assert load_config(path).manifest.master_seed == 3
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -131,5 +131,13 @@ class TestLoadConfig:
             parse_config(minimal_doc(threads=0))
 
     def test_direct_constructor_validates_task(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(task="nope", regimes=())
+        with pytest.raises(ValueError, match="unknown task 'nope'; valid: parameter_error, "
+                                             "residual_physics"):
+            RunManifest(task="nope", regimes=())
+        with pytest.raises(ValueError, match="'heteroclinic_cycles'; valid: synchrony, "
+                                             "asynchrony, multi_frequency$"):
+            RunManifest(task="parameter_error", regimes=("heteroclinic_cycles",))
+
+    def test_direct_constructor_defaults_realizations_per_task(self):
+        assert RunManifest(task="residual_physics", regimes=("synchrony",)).n_realizations == 1
+        assert RunManifest(task="parameter_error", regimes=("synchrony",)).n_realizations == 3

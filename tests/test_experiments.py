@@ -1,13 +1,20 @@
 import json
 import threading
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from hybrid_esn import dynamics, experiments, reservoir
-from hybrid_esn.dynamics import NumericalBlowup, perturb_params, realize_regime, simulate
+from hybrid_esn.dynamics import (
+    IntegratorConfig,
+    NumericalBlowup,
+    perturb_params,
+    realize_regime,
+    simulate,
+)
 from hybrid_esn.evaluation import (
     ForecastResult,
     MetricRecord,
@@ -442,15 +449,19 @@ class TestSweepAndGrid:
             assert np.array_equal(record, full[:, :TINY.needed_samples])
             assert np.array_equal(segment(record, TINY)[1][-1][1], segment(full, TINY)[1][-1][1])
 
-    def test_run_log_round_trips(self, tmp_path):
-        man = tiny_manifest()
+    def test_run_log_round_trips(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments.time, "time", lambda: 1234.56789)
+        man = tiny_manifest(task="residual_physics", regimes=("synchrony", "heteroclinic_cycles"),
+                            integrator=IntegratorConfig(dt=0.05, substeps_per_sample=4),
+                            layout=replace(TINY, dt=0.05), epsilon=0.3, master_seed=9)
         path = tmp_path / "run_log.json"
         write_run_log(path, man, extra={"n_records": 8})
         payload = json.loads(path.read_text())
-        assert payload["task"] == "parameter_error"
-        assert payload["master_seed"] == 0
+        want = {**asdict(man), "timestamp_s": 1234.568, "n_records": 8}
+        want["regimes"] = list(want["regimes"])
+        assert payload == want
+        assert list(payload) == sorted(payload)
         assert payload["layout"]["test"] == TINY.test
-        assert payload["n_records"] == 8
 
 
 def count_internal_builds(monkeypatch, fail_at=None):
