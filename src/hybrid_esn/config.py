@@ -57,6 +57,10 @@ class ExperimentConfig:
         for model in self.models:
             if model not in MODELS:
                 raise ValueError(f"unknown model arm {model!r}")
+        repeated = sorted({m for m in self.models if self.models.count(m) > 1})
+        if repeated:
+            # every record of a repeated arm would be run and written twice
+            raise ValueError(f"models must not repeat: {', '.join(repeated)}")
         check_count("threads", self.threads)
 
 

@@ -13,7 +13,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from itertools import starmap
 
 import numpy as np
 
@@ -125,20 +125,18 @@ def _task_of(name: str) -> Task:
 
 
 @dataclass(frozen=True)
-class Baselines:
-    """All tunable model settings, defaulted to the baseline values; each is sweepable."""
+class Baselines(ReservoirConfig):
+    """All tunable model settings, defaulted to the baseline values; each is sweepable.
 
-    size: int = 300
-    spectral_radius: float = 0.4
-    input_scaling: float = 0.15
-    mean_degree: float = 3.0
-    regularization: float = 1e-6
-    knowledge_ratio: float = 0.5
+    The reservoir settings are `ReservoirConfig`'s; the expert's parameter
+    errors follow them.
+    """
+
     sigma_k: float = 0.05
     sigma_omega: float = 0.05
 
     def __post_init__(self):
-        self.reservoir_config()
+        super().__post_init__()
         check_real("sigma_k", self.sigma_k, zero_ok=True)
         check_real("sigma_omega", self.sigma_omega, zero_ok=True)
 
@@ -156,16 +154,6 @@ class Baselines:
                 raise ValueError(f"size must be an integer >= 1, got {value!r}")
             value = int(value)
         return replace(self, **{name: value})
-
-    def reservoir_config(self) -> ReservoirConfig:
-        return ReservoirConfig(
-            size=self.size,
-            spectral_radius=self.spectral_radius,
-            input_scaling=self.input_scaling,
-            mean_degree=self.mean_degree,
-            regularization=self.regularization,
-            knowledge_ratio=self.knowledge_ratio,
-        )
 
 
 @dataclass(frozen=True)
@@ -329,24 +317,50 @@ def _perturbed_expert(manifest, baselines, scheme, base_params, role, ctx) -> Ex
     return ExpertModel(params=perturbed, dt=manifest.layout.dt)
 
 
-def _instantiation_matrices(cfg, d_u, hybrid, scheme, ctx, cache) -> ReservoirMatrices:
-    """(A, B) of one instantiation; A is built once per run and shared by the RC arms.
+def _train_rc(manifest, model_kind, baselines, scheme, training, base_params, cache, contexts,
+              threads) -> list:
+    """The RC instantiations of `contexts`, each trained on `training`, in order.
 
     A's stream is keyed by instantiation, not arm, so the first arm builds
     both matrices and leaves A in `cache` under its stream context and the
     settings it depends on; a later arm draws only its own B.  A build that
-    raises leaves nothing behind, so every arm raises in turn.
+    raises leaves nothing behind, so every arm raises in turn.  At `threads`
+    > 1 a pool builds the matrices ahead, in order, so building instantiation
+    k + 1 overlaps training instantiation k.  Pool threads run
+    `build_matrices` and nothing else: the cache, the experts and the fits
+    stay on the calling thread.
     """
-    key = ("internal", scheme.master, *ctx.values(), cfg.size, cfg.mean_degree,
-           cfg.spectral_radius)
-    input_seed = scheme.stream(role="input", **ctx)
-    if key in cache:
-        return ReservoirMatrices(internal=cache[key], input=build_input_matrix(
-            cfg, 2 * d_u if hybrid else d_u, hybrid, input_seed))
-    matrices = build_matrices(cfg, d_u, hybrid, scheme.stream(role="internal", **ctx),
-                              input_seed)
-    cache[key] = matrices.internal
-    return matrices
+    d_u, hybrid = training.shape[0], model_kind == "hybrid"
+    keys = [("internal", scheme.master, *ctx.values(), baselines.size, baselines.mean_degree,
+             baselines.spectral_radius) for ctx in contexts]
+    builds = [(baselines, d_u, hybrid, scheme.stream(role="internal", **ctx),
+               scheme.stream(role="input", **ctx))
+              for ctx, key in zip(contexts, keys) if key not in cache]
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    members = []
+    try:
+        # without a pool each build runs when its instantiation takes it
+        built = (starmap(build_matrices, builds) if pool is None
+                 else pool.map(build_matrices, *zip(*builds)))
+        for ctx, key in zip(contexts, keys):
+            if key in cache:
+                matrices = ReservoirMatrices(internal=cache[key], input=build_input_matrix(
+                    baselines, 2 * d_u if hybrid else d_u, hybrid,
+                    scheme.stream(role="input", **ctx)))
+            else:
+                matrices = next(built)
+                cache[key] = matrices.internal
+            expert = (_perturbed_expert(manifest, baselines, scheme, base_params,
+                                        "expert_error", ctx) if hybrid else None)
+            # no name keeps the features past the fit, so two sets are never held at once
+            readout = train_readout(*collect_states(training, matrices, expert=expert),
+                                    baselines.regularization)
+            members.append(Instantiation(matrices, readout, expert))
+    finally:
+        if pool is not None:
+            # a failed instantiation fails the arm, so the builds not yet started are dropped
+            pool.shutdown(cancel_futures=True)
+    return members
 
 
 def train_instantiation(manifest, model_kind, baselines, scheme, training, base_params,
@@ -355,13 +369,8 @@ def train_instantiation(manifest, model_kind, baselines, scheme, training, base_
 
     `cache` carries A from one arm of a run to the next; a fresh dict builds all.
     """
-    cfg = baselines.reservoir_config()
-    hybrid = model_kind == "hybrid"
-    matrices = _instantiation_matrices(cfg, training.shape[0], hybrid, scheme, ctx, cache)
-    expert = (_perturbed_expert(manifest, baselines, scheme, base_params, "expert_error", ctx)
-              if hybrid else None)
-    features, targets = collect_states(training, matrices, expert=expert)
-    return Instantiation(matrices, train_readout(features, targets, cfg.regularization), expert)
+    return _train_rc(manifest, model_kind, baselines, scheme, training, base_params, cache,
+                     [ctx], 1)[0]
 
 
 def _forecast_records(manifest, model_kind, regime_name, spans, realization,
@@ -431,8 +440,9 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
     holds it), segment it, train every instantiation on the training span,
     and forecast all test spans.  Failed forecasts are scored with
     worst-case padding, never dropped.  The cache also carries each
-    instantiation's internal matrix A from one RC arm to the next; pool
-    threads train distinct instantiations, so they never share a key.
+    instantiation's internal matrix A from one RC arm to the next.  At
+    `threads` > 1 pool threads build the RC arms' matrices, and all else
+    runs on the calling thread.
     """
     if model_kind not in MODELS:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -455,13 +465,8 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
             members = [Instantiation(expert=_perturbed_expert(
                 manifest, baselines, scheme, base_params, "ode_error", ctx)) for ctx in contexts]
         else:
-            train = partial(train_instantiation, manifest, model_kind, baselines, scheme,
-                            training, base_params, cache)
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    members = list(pool.map(train, contexts))
-            else:
-                members = [train(ctx) for ctx in contexts]
+            members = _train_rc(manifest, model_kind, baselines, scheme, training, base_params,
+                                cache, contexts, threads)
         records.extend(_forecast_records(manifest, model_kind, regime_name, spans, realization,
                                          sweep_name, sweep_value, members))
     records.sort(key=_record_sort_key)

@@ -9,7 +9,6 @@ back in.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +52,12 @@ class CollectionError(RuntimeError):
 class ForecastAbort(RuntimeError):
     """Autoregressive forecast hit a non-finite or unnormalizable prediction.
 
-    Carries the surviving prediction prefix so callers can score the failure
-    rather than drop it.
+    Carries the step it aborted at, which is the length of the surviving
+    prediction prefix.
     """
 
-    def __init__(self, partial: np.ndarray, step: int, reason: str):
+    def __init__(self, step: int, reason: str):
         super().__init__(f"forecast aborted at step {step}: {reason}")
-        self.partial = partial
         self.step = step
 
 
@@ -264,14 +262,6 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     return features, training[:, 1:]
 
 
-# Held from the Gram matrix's product through the solve, so that a process
-# holds one Gram matrix at a time: min(d_feat, n_T)^2 doubles, at most 8 MB
-# with the paper's 1000 training samples.  Concurrent fits under serial BLAS
-# gained no time on a 2-core machine; the pool's threads still overlap their
-# matrix builds and state collection with a fit.
-_FIT_LOCK = threading.Lock()
-
-
 def _ridge_solve(phi: np.ndarray, rhs: np.ndarray, beta: float) -> np.ndarray:
     """(Phi Phi^T + beta I)^-1 rhs, factoring the Gram matrix in place."""
     gram = phi @ phi.T
@@ -290,12 +280,11 @@ def train_readout(features: np.ndarray, targets: np.ndarray, beta: float) -> np.
 
     Solved through a symmetric positive-definite factorization of the smaller
     Gram matrix, in place; no explicit inverse and no second Gram matrix is
-    formed, and fits on several threads take their turns.  With more features
-    than training samples, the push-through identity
-    Phi^T (Phi Phi^T + beta I)^-1 = (Phi^T Phi + beta I)^-1 Phi^T gives the
-    same readout from the n_T x n_T Gram matrix Phi^T Phi (ridge regression in
-    dual variables, Saunders, Gammerman & Vovk 1998), where Phi Phi^T has rank
-    at most n_T and needs beta > 0.
+    formed.  With more features than training samples, the push-through
+    identity Phi^T (Phi Phi^T + beta I)^-1 = (Phi^T Phi + beta I)^-1 Phi^T
+    gives the same readout from the n_T x n_T Gram matrix Phi^T Phi (ridge
+    regression in dual variables, Saunders, Gammerman & Vovk 1998), where
+    Phi Phi^T has rank at most n_T and needs beta > 0.
     """
     if beta < 0:
         raise ValueError("regularization must be >= 0")
@@ -309,13 +298,9 @@ def train_readout(features: np.ndarray, targets: np.ndarray, beta: float) -> np.
         )
     try:
         if d_feat <= n_t:
-            rhs = features @ targets.T
-            with _FIT_LOCK:
-                c = _ridge_solve(features, rhs, beta).T
+            c = _ridge_solve(features, features @ targets.T, beta).T
         else:
-            with _FIT_LOCK:
-                dual = _ridge_solve(features.T, targets.T, beta)
-            c = (features @ dual).T
+            c = (features @ _ridge_solve(features.T, targets.T, beta)).T
     except scipy.linalg.LinAlgError as exc:
         raise ReadoutTrainingError(
             "ridge solve failed: Gram matrix is rank deficient; use beta > 0"
@@ -469,5 +454,5 @@ def forecast(warmup: np.ndarray, horizon: int, m: ReservoirMatrices, readout: np
                               stack_reservoirs([m], 1), [readout], expert)
     k = int(aborts[0])
     if k < horizon:
-        raise ForecastAbort(preds[:, :k].copy(), k, "non-finite or unnormalizable prediction")
+        raise ForecastAbort(k, "non-finite or unnormalizable prediction")
     return preds

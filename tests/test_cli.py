@@ -523,6 +523,7 @@ def seed_env(value):
      "test must be an integer >= 1, got 40.5"),
     ("sweep", {"epsilon": -1}, lambda p: [], "epsilon must be a positive number, got -1"),
     ("sweep", {"models": []}, lambda p: [], "models must name at least one model arm"),
+    ("sweep", {"models": ["ode", "ode"]}, lambda p: [], "models must not repeat: ode"),
     ("sweep", {"regimes": []}, lambda p: [], "regimes must name at least one regime"),
     ("sweep", {"grid": True}, lambda p: [], "unknown key(s) in config: grid"),
     ("sweep", {"output_dir": 5}, lambda p: [], "output_dir must be a string, got 5"),
@@ -560,8 +561,9 @@ def seed_env(value):
         "instantiations_float", "realizations_str", "config_threads_float", "layout_dt",
         "integrator_dt", "master_seed_negative", "master_seed_str", "env_seed_negative",
         "generate_seed_negative", "substeps_float", "integrator_dt_str", "layout_test_float",
-        "epsilon_negative", "models_empty", "regimes_empty", "grid_key", "output_dir_int",
-        "layout_not_object", "sweep_values_int", "regimes_repeated", "grid_regimes_repeated",
+        "epsilon_negative", "models_empty", "models_repeated", "regimes_empty", "grid_key",
+        "output_dir_int", "layout_not_object", "sweep_values_int", "regimes_repeated",
+        "grid_regimes_repeated",
         "sweep_values_repeated", "sweep_values_same_name", "sweep_size_fractional",
         "baselines_size_fractional", "regularization_nan", "spectral_radius_inf",
         "spectral_radius_bool", "sweep_value_nan", "integrator_dt_inf", "epsilon_inf",

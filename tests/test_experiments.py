@@ -1,6 +1,8 @@
 import json
 import threading
 import time
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -211,7 +213,6 @@ class TestSharedProcedure:
                                         scheme.stream(man.task, "synchrony"))
         record = simulate(params, theta0, man.integrator, man.layout.total_steps)
         training, spans = segment(record, man.layout)
-        cfg = base.reservoir_config()
         want = []
         for inst in range(man.n_instantiations):
             ctx = dict(task=man.task, regime="synchrony", realization=0, sweep_index=0,
@@ -220,12 +221,12 @@ class TestSharedProcedure:
             expert = ExpertModel(perturb_params(params, base.sigma_k, base.sigma_omega,
                                                 scheme.stream(role=role, **ctx)))
             if model != "ode":
-                m = build_matrices(cfg, 10, model == "hybrid",
+                m = build_matrices(base, 10, model == "hybrid",
                                    scheme.stream(role="internal", **ctx),
                                    scheme.stream(role="input", **ctx))
                 expert = expert if model == "hybrid" else None
                 readout = train_readout(*collect_states(training, m, expert=expert),
-                                        cfg.regularization)
+                                        base.regularization)
             for k, (warmup, test) in enumerate(spans):
                 if model == "ode":
                     preds, truth = np.empty((10, test.shape[1] - 1)), test[:, 1:]
@@ -243,17 +244,17 @@ class TestSharedProcedure:
         assert got == want
 
     def test_pool_runs_one_ridge_fit_at_a_time(self, monkeypatch):
-        # a counter around the factorization, inside the fit's locked
-        # section; the sleep leaves a second pool thread time to enter
+        # a counter around the factorization, whose sleep would leave a
+        # second thread time to enter, and spies that note the thread of
+        # each fit, state collection, expert step and internal-matrix build
         real = scipy.linalg.cho_factor
         guard = threading.Lock()
-        inside, peak, fit_threads = [0], [0], set()
+        inside, peak, where, submitted = [0], [0], defaultdict(set), []
 
         def counted(*args, **kwargs):
             with guard:
                 inside[0] += 1
                 peak[0] = max(peak[0], inside[0])
-                fit_threads.add(threading.get_ident())
             time.sleep(0.05)
             try:
                 return real(*args, **kwargs)
@@ -261,12 +262,36 @@ class TestSharedProcedure:
                 with guard:
                     inside[0] -= 1
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        def spy(name, fn):
+            def noted(*args, **kwargs):
+                with guard:
+                    where[name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return noted
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy("fit", counted))
+        monkeypatch.setattr(experiments, "collect_states",
+                            spy("collect", experiments.collect_states))
+        monkeypatch.setattr(ExpertModel, "step", spy("expert", ExpertModel.step))
+        monkeypatch.setattr(ExpertModel, "step_rows", spy("expert", ExpertModel.step_rows))
+        monkeypatch.setattr(reservoir, "build_internal_matrix",
+                            spy("build", reservoir.build_internal_matrix))
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
         man = tiny_manifest(n_instantiations=4)
         serial = run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony", threads=1)
-        fit_threads.clear()
+        assert submitted == []  # one thread makes no pool
+        where.clear()
         pooled = run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony", threads=2)
-        assert len(fit_threads) == 2  # both pool threads fitted
+        caller = {threading.get_ident()}
+        assert where["fit"] == where["collect"] == where["expert"] == caller
+        assert where["build"] and caller.isdisjoint(where["build"])
+        # the pool runs one matrix build per instantiation and nothing else
+        assert submitted == [reservoir.build_matrices] * man.n_instantiations
         assert peak[0] == 1
         assert pooled == serial
 
@@ -510,12 +535,13 @@ class TestSharedInternalMatrix:
                 sweep_name=f"grid_{point.label}", sweep_value=float(idx), sweep_index=idx)]
             assert repr(per_point[point.label]) == repr(direct)
 
-    def test_failed_build_fails_each_rc_arm_of_its_point(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_build_fails_each_rc_arm_of_its_point(self, monkeypatch, threads):
         man = tiny_manifest(n_instantiations=2)
         sweep = SweepSpec("spectral_radius", (0.3, 0.4))
         calls = count_internal_builds(monkeypatch, fail_at=(1, 1))
         per_point, _, errors = run_sweep(man, sweep, tiny_baselines(),
-                                         models=("standard", "hybrid", "ode"))
+                                         models=("standard", "hybrid", "ode"), threads=threads)
         assert [err[:4] for err in errors] == [("spectral_radius", 0.4, "synchrony", model)
                                                for model in ("standard", "hybrid")]
         assert all(isinstance(err[4], RuntimeError) for err in errors)

@@ -574,8 +574,7 @@ class TestForecast:
         bad = np.zeros((10, 300))
         with pytest.raises(ForecastAbort) as err:
             forecast(sync_training[:, :100], 20, m, bad)
-        assert err.value.step == 0
-        assert err.value.partial.shape == (10, 0)
+        assert err.value.step == 0  # the length of the surviving prefix
 
 
 class TestEchoState:
