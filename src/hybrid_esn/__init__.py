@@ -1,7 +1,6 @@
 """Hybrid reservoir computing for non-linear oscillator network forecasting."""
 
 from .dynamics import (
-    BiHarmonicParams,
     FrequencyLaw,
     IntegratorConfig,
     KuramotoParams,

@@ -22,7 +22,7 @@ import click
 
 from . import io as hio
 from .config import ConfigError, load_config
-from .dynamics import NumericalBlowup, simulate, BiHarmonicParams
+from .dynamics import NumericalBlowup, simulate
 from .evaluation import ForecastResult, mean_nmse, segment, valid_time
 from .experiments import (
     SeedScheme,
@@ -99,18 +99,17 @@ def generate(config_path, regime, seed, out_path):
         _fail(str(exc), 3)
     layout = manifest.layout
     _write_atomically(Path(out_path), hio.write_trajectory_csv, trajectory, layout.dt)
-    base = params.base if isinstance(params, BiHarmonicParams) else params
     meta = {
         "task": manifest.task,
         "regime": regime,
         "master_seed": manifest.master_seed,
         "n_steps": layout.total_steps,
         "dt": layout.dt,
-        "omega": list(base.omega),
-        "coupling": base.coupling,
+        "omega": list(params.omega),
+        "coupling": params.coupling,
         "theta0": list(theta0),
     }
-    if isinstance(params, BiHarmonicParams):
+    if params.biharmonic:
         meta.update(gamma1=params.gamma1, gamma2=params.gamma2,
                     second_harmonic_scale=params.second_harmonic_scale)
     meta_path = Path(out_path).with_suffix(".meta.json")
@@ -235,9 +234,13 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
     finally:
         signal.signal(signal.SIGTERM, previous)
     if errors:
-        for err in errors:
-            click.echo(f"point failed: {err}", err=True)
-        click.echo(f"{len(errors)} point(s) failed; completed points preserved", err=True)
+        for *prefix, regime, arm, exc in errors:  # the prefix ends in the point's key
+            message = json.dumps(str(exc), ensure_ascii=False)
+            click.echo(f"arm failed: point={stem(prefix[-1])} regime={regime} arm={arm} "
+                       f"error={type(exc).__name__} message={message}", err=True)
+        n_points = len({tuple(prefix) for *prefix, _, _, _ in errors})
+        click.echo(f"{len(errors)} arm(s) failed, at {n_points} of {len(finished)} point(s); "
+                   f"the other arms' records are in {out}", err=True)
         sys.exit(3)
     click.echo(f"all points completed; results in {out}")
 

@@ -20,8 +20,6 @@ __all__ = [
     "check_real",
     "NumericalBlowup",
     "KuramotoParams",
-    "BiHarmonicParams",
-    "RowParams",
     "FrequencyLaw",
     "RegimeSpec",
     "IntegratorConfig",
@@ -75,63 +73,45 @@ class NumericalBlowup(RuntimeError):
 
 @dataclass(frozen=True)
 class KuramotoParams:
-    """Natural frequencies omega_i (rad/s) and global coupling K for N oscillators."""
+    """Natural frequencies omega_i (rad/s), global coupling K and the bi-harmonic terms.
 
-    omega: np.ndarray
-    coupling: float
-
-    def __post_init__(self):
-        omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if omega.ndim != 1 or omega.size < 1:
-            raise ValueError("omega must be a non-empty 1-d vector")
-        if not (np.all(np.isfinite(omega)) and np.isfinite(self.coupling)):
-            raise ValueError("Kuramoto parameters must be finite")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "coupling", float(self.coupling))
-
-    @property
-    def n_oscillators(self) -> int:
-        return self.omega.size
-
-
-@dataclass(frozen=True)
-class RowParams:
-    """Kuramoto parameters with one set per row of an (S, 2N) state batch.
-
-    `RK4Stepper` reads it like KuramotoParams: omega is (S, N) and the
-    coupling a scalar shared by every row or (S, 1), one per row.
+    The coupling of each pair is sin(Delta + gamma1) + a sin(2 Delta + gamma2),
+    a = second_harmonic_scale, which is the plain Kuramoto model at
+    gamma1 = a = 0.  omega is (N,), or (S, N) for one set per row of an
+    (S, 2N) state batch; the coupling is a float, or (S, 1) for such a batch.
     """
 
     omega: np.ndarray
     coupling: float | np.ndarray
+    gamma1: float = 0.0
+    gamma2: float = 0.0
+    second_harmonic_scale: float = 0.0
+
+    def __post_init__(self):
+        omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
+        coupling = np.asarray(self.coupling, dtype=float)
+        if omega.ndim > 2 or omega.size < 1:
+            raise ValueError("omega must be a non-empty (N,) vector or (S, N) matrix")
+        if coupling.ndim and (omega.ndim != 2 or coupling.shape != (len(omega), 1)):
+            raise ValueError(f"coupling of shape {coupling.shape} does not match "
+                             f"omega of shape {omega.shape}")
+        harmonics = (self.gamma1, self.gamma2, self.second_harmonic_scale)
+        if not (np.isfinite(omega).all() and np.isfinite(coupling).all()
+                and np.isfinite(harmonics).all()):
+            raise ValueError("Kuramoto parameters must be finite")
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "coupling", float(coupling) if coupling.ndim == 0 else coupling)
+        for name, value in zip(("gamma1", "gamma2", "second_harmonic_scale"), harmonics):
+            object.__setattr__(self, name, float(value))
 
     @property
     def n_oscillators(self) -> int:
         return self.omega.shape[-1]
 
-
-@dataclass(frozen=True)
-class BiHarmonicParams:
-    """Kuramoto coupling with phase shifts and a scaled second harmonic.
-
-    Reduces to the plain model when gamma1 = 0 and second_harmonic_scale = 0.
-    A RowParams base gives every row of a state batch its own omega under
-    the shared harmonics.
-    """
-
-    base: KuramotoParams | RowParams
-    gamma1: float
-    gamma2: float
-    second_harmonic_scale: float
-
-    def __post_init__(self):
-        for v in (self.gamma1, self.gamma2, self.second_harmonic_scale):
-            if not np.isfinite(v):
-                raise ValueError("bi-harmonic parameters must be finite")
-
     @property
-    def n_oscillators(self) -> int:
-        return self.base.n_oscillators
+    def biharmonic(self) -> bool:
+        """Whether the coupling has a phase shift or a second harmonic."""
+        return self.gamma1 != 0 or self.second_harmonic_scale != 0
 
 
 @dataclass(frozen=True)
@@ -291,8 +271,9 @@ class RK4Stepper:
     h.  The state is planar: `state[0]` holds x and `state[1]` y, each of
     shape (*lead, N); `load` and `components` convert from and to the
     interleaved (*lead, 2N) layout.  Every buffer and view is made here, so a
-    step allocates nothing.  `params` may be a RowParams (or a bi-harmonic
-    model over one) whose omega and coupling broadcast against `lead`.
+    step allocates nothing.  The omega and coupling of `params` may hold one
+    set per row, (S, N) and (S, 1), broadcasting against `lead`.  A model
+    whose `biharmonic` is False steps through the plain Kuramoto kernel.
 
     A step performs the IEEE operations of the textbook form
     y + (h/6)(k1 + 2 k2 + 2 k3 + k4) in the same order, so a row is bitwise
@@ -311,14 +292,12 @@ class RK4Stepper:
         lead = tuple(lead)
         n = params.n_oscillators
         self.params, self.lead, self.h = params, lead, h
-        biharmonic = isinstance(params, BiHarmonicParams)
-        base = params.base if biharmonic else params
 
         def signed(v):  # [-v; v], shaped to broadcast against (2, *lead, N)
             v = np.asarray(v, dtype=float)
             return np.stack([-v, v]).reshape((2,) + (1,) * (len(lead) + 1 - v.ndim) + v.shape)
 
-        self._omega, self._gain = signed(base.omega), signed(base.coupling / n)
+        self._omega, self._gain = signed(params.omega), signed(params.coupling / n)
         # 0-d arrays: numpy converts a Python float operand on every call
         self._constants = tuple(map(np.array, (0.5 * h, h, h / 6.0, 2.0)))
         self.state = np.empty((2, *lead, n))
@@ -327,7 +306,7 @@ class RK4Stepper:
         self._k_views = (*self._k, self._k[1:3])
         self._sums = np.empty((*lead, n))
         self._rate = np.empty_like(self.state)
-        if biharmonic:
+        if params.biharmonic:
             # all four products at once: [[x_i x_j, x_i y_j], [y_i x_j, y_i y_j]]
             pairs = np.empty((2, 2, *lead, n, n))
             sc = np.empty((2, *lead, n, n))  # [s; c]
@@ -476,41 +455,31 @@ def realize_regime(regime: RegimeSpec, seed):
     rng = np.random.default_rng(seed)
     omega = sample_frequencies(regime, rng)
     theta0 = sample_initial_phases(regime.n_oscillators, rng)
-    base = KuramotoParams(omega=omega, coupling=regime.coupling)
-    if regime.model_family == "standard":
-        return base, theta0
-    params = BiHarmonicParams(
-        base=base,
-        gamma1=regime.gamma1,
-        gamma2=regime.gamma2,
-        second_harmonic_scale=regime.second_harmonic_scale,
-    )
+    params = KuramotoParams(omega=omega, coupling=regime.coupling, gamma1=regime.gamma1,
+                            gamma2=regime.gamma2,
+                            second_harmonic_scale=regime.second_harmonic_scale)
     return params, theta0
 
 
 def perturb_params(params, sigma_k: float, sigma_omega: float, seed):
     """Multiplicative Gaussian error: K <- (1+xi_K)K, omega_i <- (1+xi_i)omega_i.
 
-    Draw order is fixed (xi_K, then the omega vector). Harmonic parameters
-    of a bi-harmonic model are left untouched.
+    Draw order is fixed (xi_K, then the omega vector). The bi-harmonic
+    terms are left untouched.
     """
     if sigma_k < 0 or sigma_omega < 0:
         raise ValueError("error standard deviations must be non-negative")
     rng = np.random.default_rng(seed)
-    base = params.base if isinstance(params, BiHarmonicParams) else params
-    coupling = base.coupling * (1.0 + rng.normal(0.0, sigma_k))
-    omega = base.omega * (1.0 + rng.normal(0.0, sigma_omega, base.n_oscillators))
-    new_base = KuramotoParams(omega=omega, coupling=coupling)
-    if isinstance(params, BiHarmonicParams):
-        return replace(params, base=new_base)
-    return new_base
+    coupling = params.coupling * (1.0 + rng.normal(0.0, sigma_k))
+    omega = params.omega * (1.0 + rng.normal(0.0, sigma_omega, params.n_oscillators))
+    return replace(params, omega=omega, coupling=coupling)
 
 
 def _integrate(params, state, cfg: IntegratorConfig, n_steps: int):
     """The ground-truth integration loop, for one record or a batch of rows.
 
-    `state` is one (2N,) record with scalar `params`, or an (S, 2N) batch
-    with RowParams.  Returns (samples, failed): samples is (..., 2N,
+    `state` is one (2N,) record with (N,) omega, or an (S, 2N) batch with
+    (S, N) omega.  Returns (samples, failed): samples is (..., 2N,
     n_steps + 1), every stored sample renormalized to the per-oscillator
     unit circle, and failed holds 0 for a row that finished or the sample k
     at which the row went non-finite (or collapsed a pair to the origin).
@@ -554,8 +523,8 @@ def simulate(params, theta0, cfg: IntegratorConfig, n_steps: int) -> np.ndarray:
 def simulate_batch(params, theta0s, cfg: IntegratorConfig, n_steps: int):
     """`simulate` for S records of one regime, integrated together as (S, 2N) rows.
 
-    `params` and `theta0s` hold one KuramotoParams or BiHarmonicParams and
-    one phase vector per record; the records may differ only in omega.
+    `params` and `theta0s` hold one KuramotoParams and one phase vector per
+    record; the records may differ only in omega.
     Returns (records, failed): records[s] is bitwise what simulate returns
     for record s, and failed[s] is 0, or the k of the NumericalBlowup(k)
     that simulate raises for it (records[s] is then undefined).  One record
@@ -571,14 +540,11 @@ def simulate_batch(params, theta0s, cfg: IntegratorConfig, n_steps: int):
 
 
 def _row_params(params):
-    """One RowParams (under the shared harmonics, if bi-harmonic) for a record list."""
-    harmonics = {(p.gamma1, p.gamma2, p.second_harmonic_scale)
-                 if isinstance(p, BiHarmonicParams) else None for p in params}
-    bases = [p.base if isinstance(p, BiHarmonicParams) else p for p in params]
-    if len(harmonics) != 1 or len({b.coupling for b in bases}) != 1:
+    """One KuramotoParams with an (S, N) omega for a record list that shares everything else."""
+    shared = {(p.coupling, p.gamma1, p.gamma2, p.second_harmonic_scale) for p in params}
+    if len(shared) != 1:
         raise ValueError("batched records may differ only in their natural frequencies")
-    rows = RowParams(omega=np.stack([b.omega for b in bases]), coupling=bases[0].coupling)
-    return rows if harmonics == {None} else replace(params[0], base=rows)
+    return replace(params[0], omega=np.stack([p.omega for p in params]))
 
 
 def generate_trajectory(regime: RegimeSpec, cfg: IntegratorConfig, n_steps: int, seed) -> np.ndarray:

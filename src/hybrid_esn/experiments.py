@@ -19,8 +19,8 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import (
-    BiHarmonicParams,
     IntegratorConfig,
+    KuramotoParams,
     NumericalBlowup,
     RegimeSpec,
     check_count,
@@ -311,8 +311,9 @@ def _integrate_ground_truths(manifest, regime_name, sweep_indices, cache) -> Non
 
 
 def _perturbed_expert(manifest, baselines, scheme, base_params, role, ctx) -> ExpertModel:
-    expert_base = base_params.base if isinstance(base_params, BiHarmonicParams) else base_params
-    perturbed = perturb_params(expert_base, baselines.sigma_k, baselines.sigma_omega,
+    # the expert knows only the plain Kuramoto model, whatever the ground truth's harmonics
+    expert = KuramotoParams(omega=base_params.omega, coupling=base_params.coupling)
+    perturbed = perturb_params(expert, baselines.sigma_k, baselines.sigma_omega,
                                scheme.stream(role=role, **ctx))
     return ExpertModel(params=perturbed, dt=manifest.layout.dt)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import KuramotoParams, RK4Stepper, RowParams
+from .dynamics import KuramotoParams, RK4Stepper
 from .reservoir import ReservoirMatrices
 
 __all__ = ["ExpertModel", "stack_experts", "Instantiation"]
@@ -28,7 +28,7 @@ class ExpertModel:
     stepped from two threads at once.
     """
 
-    params: object  # KuramotoParams | BiHarmonicParams | RowParams
+    params: KuramotoParams  # omega (N,), or (S, N) for one set per row
     dt: float = 0.1
     _stepper: RK4Stepper | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -70,15 +70,15 @@ class ExpertModel:
 def stack_experts(experts, repeats: int) -> ExpertModel:
     """One expert whose rows k*repeats .. (k+1)*repeats - 1 follow experts[k].
 
-    The experts must share dt and hold plain KuramotoParams.
+    The experts must share dt and hold the plain Kuramoto model.
     """
     if len({e.dt for e in experts}) != 1:
         raise ValueError("stacked experts must share one step size")
-    if not all(isinstance(e.params, KuramotoParams) for e in experts):
+    if any(e.params.biharmonic for e in experts):
         raise ValueError("only Kuramoto experts can be stacked")
     omega = np.repeat(np.stack([e.params.omega for e in experts]), repeats, axis=0)
     coupling = np.repeat([[e.params.coupling] for e in experts], repeats, axis=0)
-    return ExpertModel(params=RowParams(omega=omega, coupling=coupling), dt=experts[0].dt)
+    return ExpertModel(params=KuramotoParams(omega=omega, coupling=coupling), dt=experts[0].dt)
 
 
 @dataclass(frozen=True)

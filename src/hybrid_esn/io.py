@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse
 
-from .dynamics import BiHarmonicParams, KuramotoParams
+from .dynamics import KuramotoParams
 from .evaluation import MetricRecord
 from .experiments import check_record_names
 from .hybrid import ExpertModel, Instantiation
@@ -110,7 +110,7 @@ def save_model(path, model: Instantiation) -> None:
     d_u, d_feat = readout.shape
     flag = 0
     if expert is not None:
-        flag = 2 if isinstance(expert.params, BiHarmonicParams) else 1
+        flag = 2 if expert.params.biharmonic else 1
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<5I", _VERSION, matrices.d_r, d_u, matrices.d_in, d_feat))
@@ -119,13 +119,13 @@ def save_model(path, model: Instantiation) -> None:
         fh.write(np.ascontiguousarray(matrices.input, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(readout, dtype="<f8").tobytes())
         if expert is not None:
-            base = expert.params.base if flag == 2 else expert.params
+            params = expert.params
             fh.write(struct.pack("<d", expert.dt))
-            fh.write(struct.pack("<d", base.coupling))
-            fh.write(np.ascontiguousarray(base.omega, dtype="<f8").tobytes())
+            fh.write(struct.pack("<d", params.coupling))
+            fh.write(np.ascontiguousarray(params.omega, dtype="<f8").tobytes())
             if flag == 2:
-                fh.write(struct.pack("<3d", expert.params.gamma1, expert.params.gamma2,
-                                     expert.params.second_harmonic_scale))
+                fh.write(struct.pack("<3d", params.gamma1, params.gamma2,
+                                     params.second_harmonic_scale))
 
 
 def load_model(path) -> Instantiation:
@@ -161,11 +161,9 @@ def load_model(path) -> Instantiation:
     expert = None
     if flag:
         dt, coupling, *omega = expert_blocks[0]
-        params = KuramotoParams(omega=np.array(omega), coupling=float(coupling))
-        if flag == 2:
-            g1, g2, a2 = map(float, expert_blocks[1])
-            params = BiHarmonicParams(base=params, gamma1=g1, gamma2=g2,
-                                      second_harmonic_scale=a2)
+        g1, g2, a2 = expert_blocks[1] if flag == 2 else (0.0, 0.0, 0.0)
+        params = KuramotoParams(omega=np.array(omega), coupling=float(coupling), gamma1=g1,
+                                gamma2=g2, second_harmonic_scale=a2)
         expert = ExpertModel(params=params, dt=float(dt))
     matrices = ReservoirMatrices(internal=scipy.sparse.csr_matrix(a.reshape(d_r, d_r)),
                                  input=b.reshape(d_r, d_in).copy())

@@ -97,35 +97,37 @@ class ReservoirMatrices:
         return self.input.shape[1]
 
 
+# Largest size whose spectral radius comes from a dense eigenvalue solve.
+_DENSE_MAX = 2048
+# Elements per row block of the internal matrix draw (512 kB of doubles).
+_DRAW_BLOCK = 1 << 16
+
+
 def spectral_radius_of(a) -> float:
     """Magnitude of the largest eigenvalue of a (sparse) square matrix.
 
-    Dense solve for modest sizes; ARPACK for larger sparse matrices (the
+    Dense solve up to _DENSE_MAX; ARPACK for larger sparse matrices (the
     dominant eigenvalue of a random non-symmetric matrix is often a complex
-    pair, which plain real power iteration cannot track).
+    pair, which plain real power iteration cannot track), falling back to
+    the dense solve if ARPACK fails.
     """
     n = a.shape[0]
-    if n <= 2048:
-        dense = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
-        return float(np.max(np.abs(np.linalg.eigvals(dense))))
-    try:
-        # a fixed start vector: ARPACK's default random one depends on what
-        # ran before in the process, and so would the radius
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        # ask for several eigenvalues: sparse random matrices have tightly
-        # clustered leading spectra and small-k ARPACK can miss the maximum
-        vals = scipy.sparse.linalg.eigs(
-            a.astype(float), k=8, which="LM", return_eigenvectors=False,
-            maxiter=10_000, tol=1e-10, v0=v0,
-        )
-        return float(np.max(np.abs(vals)))
-    except (scipy.sparse.linalg.ArpackNoConvergence, RuntimeError):
-        dense = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
-        return float(np.max(np.abs(np.linalg.eigvals(dense))))
-
-
-# Elements per row block of the internal matrix draw (8 MB of doubles).
-_DRAW_BLOCK = 1 << 20
+    if n > _DENSE_MAX:
+        try:
+            # a fixed start vector: ARPACK's default random one depends on what
+            # ran before in the process, and so would the radius
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+            # ask for several eigenvalues: sparse random matrices have tightly
+            # clustered leading spectra and small-k ARPACK can miss the maximum
+            vals = scipy.sparse.linalg.eigs(
+                a.astype(float), k=8, which="LM", return_eigenvectors=False,
+                maxiter=10_000, tol=1e-10, v0=v0,
+            )
+            return float(np.max(np.abs(vals)))
+        except (scipy.sparse.linalg.ArpackNoConvergence, RuntimeError):
+            pass
+    dense = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
+    return float(np.max(np.abs(np.linalg.eigvals(dense))))
 
 
 def _draw_internal(rng, n: int, p: float) -> scipy.sparse.csr_matrix:

@@ -1,9 +1,12 @@
 """Reference integrators and transforms that the tests compare the program against.
 
 The phase-form right-hand sides are the oscillator models as the paper
-states them.  `component_rhs` and `rk4_step` are the straightforward
-component-form field and RK4 step (one numpy expression per term, arrays
-allocated as they go); `dynamics.RK4Stepper` must equal them bit for bit.
+states them, each read from one `dynamics.KuramotoParams`.
+`component_rhs` and `rk4_step` are the straightforward component-form
+field and RK4 step (one numpy expression per term, arrays allocated as
+they go); `component_rhs` takes the bi-harmonic field where
+`params.biharmonic` holds, as the program does, and `dynamics.RK4Stepper`
+must equal them bit for bit.
 `integrate_step` runs that stepper for a whole duration, substep by
 substep.  `update_state` and `nonlinear_transform` are the one-state
 reservoir step r' = tanh(A r + B u) and feature map g as the paper states
@@ -20,7 +23,6 @@ one-step-per-sample cost model.
 import numpy as np
 
 from hybrid_esn.dynamics import (
-    BiHarmonicParams,
     IntegratorConfig,
     KuramotoParams,
     NumericalBlowup,
@@ -75,22 +77,22 @@ def kuramoto_rhs(theta, params: KuramotoParams) -> np.ndarray:
     return params.omega + (params.coupling / n) * np.sin(diff).sum(axis=1)
 
 
-def biharmonic_rhs(theta, params: BiHarmonicParams) -> np.ndarray:
+def biharmonic_rhs(theta, params: KuramotoParams) -> np.ndarray:
     """Kuramoto rate with shifted first harmonic plus scaled second harmonic."""
     theta = _check_phase_state(theta, params.n_oscillators)
-    base = params.base
     diff = theta[None, :] - theta[:, None]
     coupling = np.sin(diff + params.gamma1)
     coupling += params.second_harmonic_scale * np.sin(2.0 * diff + params.gamma2)
     n = params.n_oscillators
-    return base.omega + (base.coupling / n) * coupling.sum(axis=1)
+    return params.omega + (params.coupling / n) * coupling.sum(axis=1)
 
 
 def component_rhs(state, params) -> np.ndarray:
     """Phase-component image of the oscillator ODE: dx = -y*rate, dy = x*rate.
 
-    `state` is (..., 2N) with any leading batch axes; `params` (or its
-    bi-harmonic base) may be a RowParams, with one omega per row.
+    `state` is (..., 2N) with any leading batch axes; `params` may hold one
+    omega per row, (S, N).  A model whose `biharmonic` is False runs the
+    plain Kuramoto field.
     """
     state = np.asarray(state, dtype=float)
     if state.ndim == 0 or state.shape[-1] != 2 * params.n_oscillators:
@@ -103,18 +105,16 @@ def component_rhs(state, params) -> np.ndarray:
     xj, yj = x[..., None, :], y[..., None, :]
     # s[i, j] = sin(theta_j - theta_i), c[i, j] = cos(theta_j - theta_i)
     s = yj * xi - xj * yi
-    if isinstance(params, BiHarmonicParams):
+    if params.biharmonic:
         c = xj * xi + yj * yi
         pair = s * np.cos(params.gamma1) + c * np.sin(params.gamma1)
         pair += params.second_harmonic_scale * (
             2.0 * s * c * np.cos(params.gamma2) + (c * c - s * s) * np.sin(params.gamma2)
         )
-        base = params.base
     else:
         pair = s
-        base = params
     n = params.n_oscillators
-    rate = base.omega + (base.coupling / n) * np.add.reduce(pair, axis=-1)
+    rate = params.omega + (params.coupling / n) * np.add.reduce(pair, axis=-1)
     out = np.empty_like(state)
     out[..., 0::2] = -y * rate
     out[..., 1::2] = x * rate

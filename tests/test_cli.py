@@ -65,6 +65,23 @@ class TestGenerate:
         assert meta["regime"] == "synchrony"
         assert len(meta["omega"]) == 5
 
+    @pytest.mark.parametrize("task,regime,harmonics", [
+        ("parameter_error", "synchrony", None),
+        ("residual_physics", "partial_synchrony", (1.5, np.pi, 0.2)),
+    ])
+    def test_sidecar_holds_harmonics_of_biharmonic_regimes(self, runner, tmp_path, task, regime,
+                                                           harmonics):
+        cfg = write_config(tmp_path, task=task, regimes=[regime])
+        result = runner.invoke(main, ["generate", "--config", str(cfg), "--regime", regime,
+                                      "--out", str(tmp_path / "traj.csv")])
+        assert result.exit_code == 0, result.output
+        meta = json.loads((tmp_path / "traj.meta.json").read_text())
+        keys = ("gamma1", "gamma2", "second_harmonic_scale")
+        if harmonics is None:
+            assert not set(keys) & meta.keys()
+        else:
+            assert tuple(meta[k] for k in keys) == harmonics
+
     def test_same_seed_byte_identical(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -279,6 +296,26 @@ class TestSweepGridReport:
         assert log["mode"] == "sweep" and log["master_seed"] == 5
         recs = read_metric_csv(out / "sigma_k_0.csv")
         assert {r.model for r in recs} == {"standard", "ode"}
+
+    def test_failed_arm_exits_3_with_one_line_per_arm(self, runner, tmp_path):
+        # 60 reservoir features, 40 training samples and beta = 0: the
+        # standard arm's ridge fit fails, the ODE arm, which trains nothing, runs
+        cfg = write_config(tmp_path, baselines={"size": 60, "regularization": 0},
+                           layout={**TINY_LAYOUT, "training": 40},
+                           sweep={"parameter": "sigma_k", "values": [0.05]},
+                           models=["standard", "ode"])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.splitlines() == [
+            'arm failed: point=sigma_k_0.05 regime=synchrony arm=standard '
+            'error=ReadoutTrainingError message="ridge solve failed: 60 features but 40 '
+            'training samples make the Gram matrix rank deficient; use beta > 0"',
+            f"1 arm(s) failed, at 1 of 1 point(s); the other arms' records are in {out}",
+        ]
+        assert "Traceback" not in result.output and "('" not in result.stderr
+        assert {r.model for r in read_metric_csv(out / "sigma_k_0.05.csv")} == {"ode"}
 
     def test_sweep_threads_byte_identical(self, runner, tmp_path):
         cfg = write_config(tmp_path, sweep={"parameter": "sigma_k", "values": [0.05]},

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid_esn.dynamics import (
-    BiHarmonicParams,
     IntegratorConfig,
     KuramotoParams,
     NumericalBlowup,
     RK4Stepper,
-    RowParams,
     biharmonic_regime,
     components_to_phases,
     generate_trajectory,
@@ -40,6 +38,44 @@ RNG = np.random.default_rng(1234)
 
 def random_unit_state(n, rng=RNG):
     return phases_to_components(rng.uniform(-np.pi, np.pi, n))
+
+
+class TestKuramotoParams:
+    def test_vanishing_harmonics_step_as_the_plain_model(self):
+        # without a phase shift or a second harmonic, gamma2 weighs nothing
+        rng = np.random.default_rng(21)
+        plain = KuramotoParams(omega=rng.normal(size=5), coupling=1.7)
+        unshifted = replace(plain, gamma1=0.0, gamma2=0.9)
+        assert not unshifted.biharmonic
+        assert replace(plain, gamma1=1e-3).biharmonic
+        assert replace(plain, second_harmonic_scale=0.1).biharmonic
+        theta0 = rng.uniform(-np.pi, np.pi, 5)
+        cfg = IntegratorConfig()
+        assert (simulate(unshifted, theta0, cfg, 50).tobytes()
+                == simulate(plain, theta0, cfg, 50).tobytes())
+
+    def test_row_batch_shapes(self):
+        rows = KuramotoParams(omega=np.zeros((4, 3)), coupling=np.ones((4, 1)))
+        assert rows.n_oscillators == 3 and rows.coupling.shape == (4, 1)
+        assert KuramotoParams(omega=np.zeros((4, 3)), coupling=2).coupling == 2.0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(omega=np.zeros((2, 3, 4)), coupling=1.0),
+        dict(omega=np.zeros(0), coupling=1.0),
+        dict(omega=np.zeros(3), coupling=np.ones((1, 1))),
+        dict(omega=np.zeros((2, 3)), coupling=np.ones((3, 1))),
+        dict(omega=np.zeros((2, 3)), coupling=np.ones(2)),
+        dict(omega=np.array([0.0, np.nan]), coupling=1.0),
+        dict(omega=np.zeros(3), coupling=np.inf),
+        dict(omega=np.zeros(3), coupling=1.0, gamma1=np.nan),
+        dict(omega=np.zeros(3), coupling=1.0, gamma2=np.inf),
+        dict(omega=np.zeros(3), coupling=1.0, second_harmonic_scale=-np.inf),
+    ], ids=["omega_3d", "omega_empty", "row_coupling_without_rows", "row_coupling_mismatch",
+            "coupling_1d", "omega_nan", "coupling_inf", "gamma1_nan", "gamma2_inf",
+            "second_harmonic_inf"])
+    def test_rejects_bad_shapes_and_non_finite_values(self, kwargs):
+        with pytest.raises(ValueError):
+            KuramotoParams(**kwargs)
 
 
 class TestKuramotoRhs:
@@ -78,16 +114,14 @@ class TestBiharmonicRhs:
     def test_reduces_to_kuramoto(self):
         rng = np.random.default_rng(7)
         base = KuramotoParams(omega=rng.normal(size=4), coupling=1.7)
-        params = BiHarmonicParams(base=base, gamma1=0.0, gamma2=0.9,
-                                  second_harmonic_scale=0.0)
+        params = replace(base, gamma1=0.0, gamma2=0.9, second_harmonic_scale=0.0)
         theta = rng.uniform(-np.pi, np.pi, 4)
         np.testing.assert_allclose(biharmonic_rhs(theta, params),
                                    kuramoto_rhs(theta, base), atol=1e-15)
 
     def test_equal_phases_with_vanishing_shifts(self):
         base = KuramotoParams(omega=np.array([0.5, -0.5]), coupling=1.0)
-        params = BiHarmonicParams(base=base, gamma1=2 * np.pi, gamma2=np.pi,
-                                  second_harmonic_scale=0.2)
+        params = replace(base, gamma1=2 * np.pi, gamma2=np.pi, second_harmonic_scale=0.2)
         out = biharmonic_rhs(np.full(2, 0.3), params)
         np.testing.assert_allclose(out, base.omega, atol=1e-14)
 
@@ -105,8 +139,7 @@ class TestComponentRhs:
     def test_zero_radial_component_on_unit_circle(self):
         rng = np.random.default_rng(11)
         base = KuramotoParams(omega=rng.normal(size=6), coupling=2.0)
-        for params in (base, BiHarmonicParams(base=base, gamma1=1.3, gamma2=np.pi,
-                                              second_harmonic_scale=0.2)):
+        for params in (base, replace(base, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)):
             c = random_unit_state(6, rng)
             d = component_rhs(c, params)
             radial = c[0::2] * d[0::2] + c[1::2] * d[1::2]
@@ -132,8 +165,7 @@ class TestComponentRhs:
     def test_biharmonic_matches_chain_rule(self):
         rng = np.random.default_rng(4)
         base = KuramotoParams(omega=rng.normal(size=5), coupling=1.0)
-        params = BiHarmonicParams(base=base, gamma1=1.5, gamma2=np.pi,
-                                  second_harmonic_scale=0.2)
+        params = replace(base, gamma1=1.5, gamma2=np.pi, second_harmonic_scale=0.2)
         for _ in range(20):
             theta = rng.uniform(-np.pi, np.pi, 5)
             dtheta = biharmonic_rhs(theta, params)
@@ -155,8 +187,8 @@ class TestComponentRhs:
         rng = np.random.default_rng(n)
         base = KuramotoParams(omega=rng.normal(size=n), coupling=1.5)
         phase_forms = ((base, kuramoto_rhs),
-                       (BiHarmonicParams(base=base, gamma1=1.3, gamma2=np.pi,
-                                         second_harmonic_scale=0.2), biharmonic_rhs))
+                       (replace(base, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2),
+                        biharmonic_rhs))
         for params, phase_rhs in phase_forms:
             theta = rng.uniform(-np.pi, np.pi, (7, n))
             states = np.stack([phases_to_components(t) for t in theta])
@@ -168,13 +200,13 @@ class TestComponentRhs:
                 np.testing.assert_allclose(row[1::2], np.cos(t) * dtheta, atol=1e-12)
 
     def test_per_row_parameters(self):
-        # RowParams rows (omega (S, N), coupling (S, 1)) equal the 1-d call
+        # row-batch parameters (omega (S, N), coupling (S, 1)) equal the 1-d call
         # with each row's own KuramotoParams
         rng = np.random.default_rng(8)
         params = [KuramotoParams(omega=rng.normal(size=5), coupling=rng.uniform(0.5, 4.0))
                   for _ in range(4)]
-        rows = RowParams(omega=np.stack([p.omega for p in params]),
-                         coupling=np.array([[p.coupling] for p in params]))
+        rows = KuramotoParams(omega=np.stack([p.omega for p in params]),
+                              coupling=np.array([[p.coupling] for p in params]))
         states = np.stack([random_unit_state(5, rng) for _ in params])
         batch = component_rhs(states, rows)
         for row, p, state in zip(batch, params, states):
@@ -189,7 +221,7 @@ def with_family(base, family):
     """
     if family == "standard":
         return base
-    return BiHarmonicParams(base=base, gamma1=1.3, gamma2=0.9, second_harmonic_scale=0.2)
+    return replace(base, gamma1=1.3, gamma2=0.9, second_harmonic_scale=0.2)
 
 
 def oracle_steps(params, state, h, n):
@@ -232,13 +264,13 @@ class TestRK4Stepper:
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     @pytest.mark.parametrize("per_row_coupling", [False, True], ids=["scalar_K", "row_K"])
     def test_row_batch_equals_oracle(self, family, n, per_row_coupling):
-        # RowParams rows, as (S, 2N) and under a second leading axis, equal
+        # row-batch parameters, as (S, 2N) and under a second leading axis, equal
         # the oracle on the batch and the 1-d stepper on each row
         rng = np.random.default_rng(10 * n + per_row_coupling)
         n_rows = 4
         omega = rng.normal(size=(n_rows, n))
         coupling = rng.uniform(0.5, 4.0, (n_rows, 1)) if per_row_coupling else 2.5
-        params = with_family(RowParams(omega=omega, coupling=coupling), family)
+        params = with_family(KuramotoParams(omega=omega, coupling=coupling), family)
         states = np.stack([random_unit_state(n, rng) for _ in range(3 * n_rows)])
         for batch in (states[:n_rows], states.reshape(3, n_rows, 2 * n)):
             got = stepper_steps(params, batch, 0.05, 12)
@@ -255,7 +287,7 @@ class TestRK4Stepper:
         states = rng.normal(size=(5, 8))
         states[1, 3] = np.inf
         states[3, 4:6] = 0.0
-        stepper = RK4Stepper(RowParams(omega=np.zeros((5, 4)), coupling=1.0), (5,), 0.1)
+        stepper = RK4Stepper(KuramotoParams(omega=np.zeros((5, 4)), coupling=1.0), (5,), 0.1)
         stepper.load(states)
         ok = stepper.normalize()
         want, want_ok = normalize_rows(states)
@@ -403,8 +435,7 @@ class TestPerturbParams:
 
     def test_harmonics_untouched(self):
         base = KuramotoParams(omega=np.ones(2), coupling=1.0)
-        params = BiHarmonicParams(base=base, gamma1=1.3, gamma2=np.pi,
-                                  second_harmonic_scale=0.2)
+        params = replace(base, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)
         out = perturb_params(params, 0.1, 0.1, 7)
         assert out.gamma1 == params.gamma1
         assert out.gamma2 == params.gamma2
@@ -529,7 +560,7 @@ class TestSimulateBatch:
         b = KuramotoParams(omega=np.ones(2), coupling=2.0)
         with pytest.raises(ValueError):
             simulate_batch([a, b], [np.zeros(2)] * 2, IntegratorConfig(), 5)
-        bi = BiHarmonicParams(base=a, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)
+        bi = replace(a, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)
         with pytest.raises(ValueError):
             simulate_batch([bi, replace(bi, gamma1=1.5)], [np.zeros(2)] * 2, IntegratorConfig(), 5)
         with pytest.raises(ValueError):

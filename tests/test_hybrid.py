@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +116,12 @@ class TestExpertModel:
         for i, row in enumerate(rows):
             np.testing.assert_array_equal(row, experts[i // 2].step(states[i]))
         np.testing.assert_array_equal(stacked.step(states), rows)
+
+    def test_stack_rejects_biharmonic_expert(self):
+        plain = KuramotoParams(omega=np.zeros(3), coupling=1.0)
+        shifted = replace(plain, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)
+        with pytest.raises(ValueError, match="only Kuramoto experts"):
+            stack_experts([ExpertModel(plain), ExpertModel(shifted)], 2)
 
     def test_stepper_follows_shape_and_params(self):
         # the kept stepper is rebuilt when the input shape or the parameters change

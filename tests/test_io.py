@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
 
-from hybrid_esn.dynamics import BiHarmonicParams, KuramotoParams
+from hybrid_esn.dynamics import KuramotoParams
 from hybrid_esn.evaluation import MetricRecord
 from hybrid_esn.hybrid import ExpertModel, Instantiation
 from hybrid_esn.io import (
@@ -129,15 +131,16 @@ class TestModelDump:
         m = _matrices(d_r=6, d_in=8)
         readout = np.ones((4, 10))
         base = KuramotoParams(omega=np.array([0.01, -0.02]), coupling=1.0)
-        params = BiHarmonicParams(base=base, gamma1=1.3, gamma2=np.pi,
-                                  second_harmonic_scale=0.2)
+        params = replace(base, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)
         save_model(path, Instantiation(m, readout, ExpertModel(params=params, dt=0.1)))
+        import struct
+        assert struct.unpack_from("<I", path.read_bytes(), 28) == (2,)  # the expert flag
         expert = load_model(path).expert
-        assert isinstance(expert.params, BiHarmonicParams)
+        assert expert.params.biharmonic
         assert expert.params.gamma1 == 1.3
         assert expert.params.gamma2 == np.pi
         assert expert.params.second_harmonic_scale == 0.2
-        np.testing.assert_array_equal(expert.params.base.omega, base.omega)
+        np.testing.assert_array_equal(expert.params.omega, base.omega)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -58,6 +58,22 @@ class TestSpectralRadius:
         got = spectral_radius_of(scipy.sparse.csr_matrix(dense))
         assert abs(got - want) < 1e-8 * want
 
+    @pytest.mark.parametrize("error", [scipy.sparse.linalg.ArpackNoConvergence("no", [], []),
+                                       RuntimeError("arpack")], ids=["no_convergence", "error"])
+    def test_dense_fallback_when_arpack_fails(self, monkeypatch, error):
+        # above _DENSE_MAX a failed ARPACK solve falls back to the dense one
+        def failing_eigs(*args, **kwargs):
+            calls.append(args)
+            raise error
+
+        calls = []
+        monkeypatch.setattr(reservoir, "_DENSE_MAX", 10)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing_eigs)
+        rng = np.random.default_rng(1)
+        dense = rng.uniform(-1, 1, (40, 40)) * (rng.random((40, 40)) < 0.2)
+        got = spectral_radius_of(scipy.sparse.csr_matrix(dense))
+        assert len(calls) == 1
+        assert got == np.max(np.abs(np.linalg.eigvals(dense)))
 
     def test_arpack_radius_reproducible_above_dense_limit(self):
         # above 2048 the radius comes from ARPACK; its start vector is fixed,
@@ -126,7 +142,7 @@ def assert_same_csr(got, want):
 
 
 class TestRowBlockedDraw:
-    # 1500 and 2100 are not multiples of the row block (699 and 499 rows);
+    # 1500 and 2100 are not multiples of the row block (43 and 31 rows);
     # 2100 also takes its radius from ARPACK
     @pytest.mark.parametrize("size,seed", [(1, 0), (2, 1), (7, 2), (50, 3), (300, 4),
                                            (1000, 5), (1500, 6), (2100, 7)])
