@@ -71,7 +71,7 @@ class NumericalBlowup(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KuramotoParams:
     """Natural frequencies omega_i (rad/s), global coupling K and the bi-harmonic terms.
 
@@ -79,6 +79,7 @@ class KuramotoParams:
     a = second_harmonic_scale, which is the plain Kuramoto model at
     gamma1 = a = 0.  omega is (N,), or (S, N) for one set per row of an
     (S, 2N) state batch; the coupling is a float, or (S, 1) for such a batch.
+    Equality and hashing are by identity, as `ExpertModel` compares them.
     """
 
     omega: np.ndarray
@@ -134,10 +135,9 @@ class FrequencyLaw:
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """A named dynamical regime: model family, frequency law and coupling."""
+    """A named dynamical regime: frequency law, coupling and bi-harmonic terms."""
 
     name: str
-    model_family: str  # "standard" | "biharmonic"
     n_oscillators: int
     coupling: float
     frequency_law: FrequencyLaw
@@ -146,10 +146,14 @@ class RegimeSpec:
     second_harmonic_scale: float = 0.0
 
     def __post_init__(self):
-        if self.model_family not in ("standard", "biharmonic"):
-            raise ValueError(f"unknown model family {self.model_family!r}")
         if self.n_oscillators < 1:
             raise ValueError("need at least one oscillator")
+
+    @property
+    def model_family(self) -> str:
+        """The model its harmonics select, by the rule of `KuramotoParams.biharmonic`."""
+        biharmonic = self.gamma1 != 0 or self.second_harmonic_scale != 0
+        return "biharmonic" if biharmonic else "standard"
 
 
 _STANDARD_COUPLING = {"synchrony": 4.0, "asynchrony": 1.0, "multi_frequency": 2.0}
@@ -173,7 +177,6 @@ def standard_regime(name: str) -> RegimeSpec:
     law = FrequencyLaw("multi_frequency") if name == "multi_frequency" else FrequencyLaw("uniform", -1.0, 1.0)
     return RegimeSpec(
         name=name,
-        model_family="standard",
         n_oscillators=5,
         coupling=_STANDARD_COUPLING[name],
         frequency_law=law,
@@ -188,7 +191,6 @@ def biharmonic_regime(name: str) -> RegimeSpec:
         )
     return RegimeSpec(
         name=name,
-        model_family="biharmonic",
         n_oscillators=10,
         coupling=1.0,
         frequency_law=FrequencyLaw("cauchy", 0.0, 0.01),

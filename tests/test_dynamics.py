@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybrid_esn.dynamics import (
+    FrequencyLaw,
     IntegratorConfig,
     KuramotoParams,
     NumericalBlowup,
+    RegimeSpec,
     RK4Stepper,
     biharmonic_regime,
     components_to_phases,
@@ -76,6 +78,36 @@ class TestKuramotoParams:
     def test_rejects_bad_shapes_and_non_finite_values(self, kwargs):
         with pytest.raises(ValueError):
             KuramotoParams(**kwargs)
+
+    def test_equality_and_hash_by_identity(self):
+        # the generated __eq__ compared the omega arrays and raised
+        p = KuramotoParams(omega=np.zeros(2), coupling=1.0)
+        assert p == p
+        assert p != replace(p)
+        assert hash(p) == hash(p)
+        assert len({p, replace(p)}) == 2
+
+
+class TestRegimeSpec:
+    def test_model_family_follows_harmonics(self):
+        law = FrequencyLaw("uniform", -1.0, 1.0)
+        assert RegimeSpec("r", 3, 1.0, law).model_family == "standard"
+        assert RegimeSpec("r", 3, 1.0, law, gamma2=0.9).model_family == "standard"
+        assert RegimeSpec("r", 3, 1.0, law, gamma1=1.3).model_family == "biharmonic"
+        assert RegimeSpec("r", 3, 1.0, law, second_harmonic_scale=0.2).model_family == "biharmonic"
+        for name in ("synchrony", "asynchrony", "multi_frequency"):
+            regime = standard_regime(name)
+            params, _ = realize_regime(regime, 0)
+            assert regime.model_family == "standard" and not params.biharmonic
+        for name in ("synchrony", "asynchrony", "heteroclinic_cycles", "partial_synchrony"):
+            regime = biharmonic_regime(name)
+            params, _ = realize_regime(regime, 0)
+            assert regime.model_family == "biharmonic" and params.biharmonic
+
+    def test_model_family_is_not_a_field(self):
+        # a stored family could contradict the harmonics that the model is drawn from
+        with pytest.raises(TypeError):
+            RegimeSpec("r", 3, 1.0, FrequencyLaw("uniform", -1.0, 1.0), model_family="biharmonic")
 
 
 class TestKuramotoRhs:

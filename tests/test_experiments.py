@@ -296,7 +296,7 @@ class TestSharedProcedure:
         assert pooled == serial
 
     def test_threads_identical_above_dense_eigen_limit(self):
-        # sizes above 2048 take their spectral radius from ARPACK
+        # sizes above 300 take their spectral radius from ARPACK
         layout = SpanLayout(training=30, train_test_gap=5, warmup=5, test=10,
                             test_test_gap=2, n_tests=2)
         man = tiny_manifest(layout=layout)

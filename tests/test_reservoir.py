@@ -76,8 +76,8 @@ class TestSpectralRadius:
         assert got == np.max(np.abs(np.linalg.eigvals(dense)))
 
     def test_arpack_radius_reproducible_above_dense_limit(self):
-        # above 2048 the radius comes from ARPACK; its start vector is fixed,
-        # so other ARPACK calls in between cannot move the result
+        # above _DENSE_MAX (300) the radius comes from ARPACK; its start vector
+        # is fixed, so other ARPACK calls in between cannot move the result
         a = build_internal_matrix(ReservoirConfig(size=2100), 3)
         first = spectral_radius_of(a)
         other = scipy.sparse.random(500, 500, density=0.02, random_state=0).tocsr()
@@ -85,6 +85,25 @@ class TestSpectralRadius:
             scipy.sparse.linalg.eigs(other, k=4, return_eigenvectors=False)
         assert spectral_radius_of(a) == first
         assert abs(first - 0.4) < 1e-6
+
+    # n = 700, seed 1000: with ARPACK's default 20-vector basis its 8 converged
+    # eigenvalues leave out the largest, and the radius is 4e-3 too small
+    @pytest.mark.parametrize("size,seeds", [(301, range(8)), (400, range(8)),
+                                            (700, [*range(8), 1000]), (1000, range(8)),
+                                            (1500, range(8))],
+                             ids=["n301", "n400", "n700", "n1000", "n1500"])
+    def test_arpack_matches_dense_eigvals(self, size, seeds):
+        # oracle: mean-degree-3 draws, within ARPACK's tol of 1e-10 relative
+        assert size > reservoir._DENSE_MAX
+        for seed in seeds:
+            a = reservoir._draw_internal(np.random.default_rng(seed), size, 3.0 / size)
+            want = np.max(np.abs(np.linalg.eigvals(a.toarray())))
+            assert abs(spectral_radius_of(a) - want) < 1e-10 * want, seed
+
+    def test_built_matrix_has_target_radius_by_dense_eigvals(self):
+        # a default-basis miss here left the built A at radius 0.40288
+        a = build_internal_matrix(ReservoirConfig(size=2100), 7004)
+        assert abs(np.max(np.abs(np.linalg.eigvals(a.toarray()))) - 0.4) < 1e-9
 
 
 class TestInternalMatrix:
@@ -143,7 +162,7 @@ def assert_same_csr(got, want):
 
 class TestRowBlockedDraw:
     # 1500 and 2100 are not multiples of the row block (43 and 31 rows);
-    # 2100 also takes its radius from ARPACK
+    # 1000, 1500 and 2100 take their radius from ARPACK
     @pytest.mark.parametrize("size,seed", [(1, 0), (2, 1), (7, 2), (50, 3), (300, 4),
                                            (1000, 5), (1500, 6), (2100, 7)])
     def test_csr_equals_plain_draw(self, size, seed):
