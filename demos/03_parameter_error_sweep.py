@@ -21,9 +21,9 @@ manifest = RunManifest(task="parameter_error", regimes=("synchrony",),
                        master_seed=1)
 sweep = SweepSpec("sigma_k", (0.0, 0.05, 0.1, 0.2))
 
-per_point, summary, errors = run_sweep(manifest, sweep, Baselines(), threads=4,
-                                       on_point=lambda key, records, status: print(status))
-assert not errors
+outcomes, summary = run_sweep(manifest, sweep, Baselines(),
+                              on_point=lambda outcome: print(outcome.status))
+assert not any(outcome.failures for outcome in outcomes)
 
 out = Path("demo_sweep")
 out.mkdir(exist_ok=True)

@@ -20,9 +20,9 @@ manifest = RunManifest(task="residual_physics", regimes=("heteroclinic_cycles",)
                        n_instantiations=2, n_realizations=1, layout=layout,
                        master_seed=0)
 
-per_point, summary, errors = run_grid_search(
-    manifest, Baselines(), threads=4, on_point=lambda key, records, status: print(status))
-assert not errors
+outcomes, summary = run_grid_search(manifest, Baselines(),
+                                    on_point=lambda outcome: print(outcome.status))
+assert not any(outcome.failures for outcome in outcomes)
 
 best = defaultdict(lambda: (None, -1.0))
 print()

@@ -196,11 +196,8 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
             check_grid_regimes(manifest.regimes)
         except ValueError as exc:
             _fail(str(exc))
-        stem = lambda key: f"grid_{key}"
     elif cfg.sweep is None:
         _fail("config has no sweep section")
-    else:
-        stem = cfg.sweep.point_name
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -209,22 +206,19 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
         _fail(f"cannot write to output directory {out}: {exc.strerror or exc}")
     finished = []
 
-    def on_point(key, records, status):
-        name = stem(key)
-        if records:
-            _write_atomically(out / f"{name}.csv", hio.write_metric_csv, records)
-        finished.append(name)
-        click.echo(status)
+    def on_point(outcome):
+        if outcome.records:
+            _write_atomically(out / f"{outcome.name}.csv", hio.write_metric_csv, outcome.records)
+        finished.append(outcome.name)
+        click.echo(outcome.status)
 
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         if grid:
-            _, summary, errors = run_grid_search(
-                manifest, cfg.baselines, threads=threads, on_point=on_point)
+            outcomes, summary = run_grid_search(manifest, cfg.baselines, on_point=on_point)
         else:
-            _, summary, errors = run_sweep(
-                manifest, cfg.sweep, cfg.baselines, models=cfg.models,
-                threads=threads, on_point=on_point)
+            outcomes, summary = run_sweep(manifest, cfg.sweep, cfg.baselines,
+                                          models=cfg.models, on_point=on_point)
         if summary:
             _write_atomically(out / "summary.csv", write_summary_csv, summary)
         _write_atomically(out / "run_log.json", write_run_log, manifest,
@@ -233,13 +227,15 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
         _fail(f"interrupted; finished points in {out}: {', '.join(finished) or 'none'}", 3)
     finally:
         signal.signal(signal.SIGTERM, previous)
-    if errors:
-        for *prefix, regime, arm, exc in errors:  # the prefix ends in the point's key
-            message = json.dumps(str(exc), ensure_ascii=False)
-            click.echo(f"arm failed: point={stem(prefix[-1])} regime={regime} arm={arm} "
-                       f"error={type(exc).__name__} message={message}", err=True)
-        n_points = len({tuple(prefix) for *prefix, _, _, _ in errors})
-        click.echo(f"{len(errors)} arm(s) failed, at {n_points} of {len(finished)} point(s); "
+    failed = [outcome for outcome in outcomes if outcome.failures]
+    if failed:
+        for outcome in failed:
+            for regime, arm, exc in outcome.failures:
+                message = json.dumps(str(exc), ensure_ascii=False)
+                click.echo(f"arm failed: point={outcome.name} regime={regime} arm={arm} "
+                           f"error={type(exc).__name__} message={message}", err=True)
+        n_arms = sum(len(outcome.failures) for outcome in failed)
+        click.echo(f"{n_arms} arm(s) failed, at {len(failed)} of {len(outcomes)} point(s); "
                    f"the other arms' records are in {out}", err=True)
         sys.exit(3)
     click.echo(f"all points completed; results in {out}")
@@ -247,7 +243,8 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=int, default=None,
+              help="Recorded in run_log.json; every run is serial.")
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def sweep(config_path, threads, out_dir):
     """Run the config's parameter sweep across all model arms."""
@@ -257,7 +254,8 @@ def sweep(config_path, threads, out_dir):
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=int, default=None,
+              help="Recorded in run_log.json; every run is serial.")
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def grid(config_path, threads, out_dir):
     """Run the 8-corner grid search (standard and hybrid arms)."""

@@ -45,7 +45,7 @@ class ExperimentConfig:
     baselines: Baselines = Baselines()
     sweep: SweepSpec | None = None
     output_dir: str = "out"
-    threads: int = 1
+    threads: int = 1  # checked and written to run_log.json; every run is serial
     models: tuple = MODELS
 
     def __post_init__(self):

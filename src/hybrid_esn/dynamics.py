@@ -149,12 +149,6 @@ class RegimeSpec:
         if self.n_oscillators < 1:
             raise ValueError("need at least one oscillator")
 
-    @property
-    def model_family(self) -> str:
-        """The model its harmonics select, by the rule of `KuramotoParams.biharmonic`."""
-        biharmonic = self.gamma1 != 0 or self.second_harmonic_scale != 0
-        return "biharmonic" if biharmonic else "standard"
-
 
 _STANDARD_COUPLING = {"synchrony": 4.0, "asynchrony": 1.0, "multi_frequency": 2.0}
 _BIHARMONIC_GAMMA1 = {

@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import starmap
 
 import numpy as np
 
@@ -50,6 +48,8 @@ __all__ = [
     "GridPoint",
     "GRID_POINTS",
     "RunManifest",
+    "RunCache",
+    "PointOutcome",
     "SummaryRow",
     "regime_spec",
     "draw_ground_truth",
@@ -291,6 +291,22 @@ def check_record_names(record: MetricRecord) -> None:
         raise ValueError(f"unknown param_name {record.param_name!r}")
 
 
+class RunCache(dict):
+    """The ground truths and internal matrices that the arms of a run share.
+
+    Every key starts (task, regime, realization, sweep index): a ground
+    truth's key is just that, and an internal matrix's adds the
+    instantiation and the settings A depends on.  So `release` forgets one
+    point's entries and no others.  A plain dict serves where nothing is
+    released.
+    """
+
+    def release(self, sweep_index: int) -> None:
+        """Forget every entry of the point at `sweep_index`."""
+        for key in [key for key in self if key[3] == sweep_index]:
+            del self[key]
+
+
 def _integrate_ground_truths(manifest, regime_name, sweep_indices, cache) -> None:
     """Integrate the ground truth of every (sweep index, realization) of one regime in one call.
 
@@ -318,60 +334,31 @@ def _perturbed_expert(manifest, baselines, scheme, base_params, role, ctx) -> Ex
     return ExpertModel(params=perturbed, dt=manifest.layout.dt)
 
 
-def _train_rc(manifest, model_kind, baselines, scheme, training, base_params, cache, contexts,
-              threads) -> list:
-    """The RC instantiations of `contexts`, each trained on `training`, in order.
-
-    A's stream is keyed by instantiation, not arm, so the first arm builds
-    both matrices and leaves A in `cache` under its stream context and the
-    settings it depends on; a later arm draws only its own B.  A build that
-    raises leaves nothing behind, so every arm raises in turn.  At `threads`
-    > 1 a pool builds the matrices ahead, in order, so building instantiation
-    k + 1 overlaps training instantiation k.  Pool threads run
-    `build_matrices` and nothing else: the cache, the experts and the fits
-    stay on the calling thread.
-    """
-    d_u, hybrid = training.shape[0], model_kind == "hybrid"
-    keys = [("internal", scheme.master, *ctx.values(), baselines.size, baselines.mean_degree,
-             baselines.spectral_radius) for ctx in contexts]
-    builds = [(baselines, d_u, hybrid, scheme.stream(role="internal", **ctx),
-               scheme.stream(role="input", **ctx))
-              for ctx, key in zip(contexts, keys) if key not in cache]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    members = []
-    try:
-        # without a pool each build runs when its instantiation takes it
-        built = (starmap(build_matrices, builds) if pool is None
-                 else pool.map(build_matrices, *zip(*builds)))
-        for ctx, key in zip(contexts, keys):
-            if key in cache:
-                matrices = ReservoirMatrices(internal=cache[key], input=build_input_matrix(
-                    baselines, 2 * d_u if hybrid else d_u, hybrid,
-                    scheme.stream(role="input", **ctx)))
-            else:
-                matrices = next(built)
-                cache[key] = matrices.internal
-            expert = (_perturbed_expert(manifest, baselines, scheme, base_params,
-                                        "expert_error", ctx) if hybrid else None)
-            # no name keeps the features past the fit, so two sets are never held at once
-            readout = train_readout(*collect_states(training, matrices, expert=expert),
-                                    baselines.regularization)
-            members.append(Instantiation(matrices, readout, expert))
-    finally:
-        if pool is not None:
-            # a failed instantiation fails the arm, so the builds not yet started are dropped
-            pool.shutdown(cancel_futures=True)
-    return members
-
-
 def train_instantiation(manifest, model_kind, baselines, scheme, training, base_params,
                         cache, ctx) -> Instantiation:
     """One trained RC instantiation: the streams of `ctx`, a readout fit on `training`.
 
-    `cache` carries A from one arm of a run to the next; a fresh dict builds all.
+    A's stream is keyed by instantiation, not arm, so the first arm builds
+    both matrices and leaves A in `cache` under its stream context and the
+    settings it depends on; a later arm draws only its own B.  A build that
+    raises leaves nothing behind, so every arm raises in turn.  A fresh dict
+    builds all.
     """
-    return _train_rc(manifest, model_kind, baselines, scheme, training, base_params, cache,
-                     [ctx], 1)[0]
+    d_u, hybrid = training.shape[0], model_kind == "hybrid"
+    key = (*ctx.values(), baselines.size, baselines.mean_degree, baselines.spectral_radius)
+    if key in cache:
+        matrices = ReservoirMatrices(internal=cache[key], input=build_input_matrix(
+            baselines, 2 * d_u if hybrid else d_u, hybrid, scheme.stream(role="input", **ctx)))
+    else:
+        matrices = build_matrices(baselines, d_u, hybrid, scheme.stream(role="internal", **ctx),
+                                  scheme.stream(role="input", **ctx))
+        cache[key] = matrices.internal
+    expert = (_perturbed_expert(manifest, baselines, scheme, base_params, "expert_error", ctx)
+              if hybrid else None)
+    # no name keeps the features past the fit, so two sets are never held at once
+    readout = train_readout(*collect_states(training, matrices, expert=expert),
+                            baselines.regularization)
+    return Instantiation(matrices, readout, expert)
 
 
 def _forecast_records(manifest, model_kind, regime_name, spans, realization,
@@ -433,17 +420,17 @@ def _record_sort_key(r: MetricRecord):
 def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Baselines,
                          regime_name: str, sweep_name: str = "baseline",
                          sweep_value: float = 0.0, sweep_index: int = 0,
-                         threads: int = 1, ground_truth_cache: dict | None = None):
+                         ground_truth_cache: dict | None = None):
     """Train and test one model arm on one regime; one record per (instantiation, span).
 
     For each realization: take the ground-truth record (integrated here,
     every realization in one batched call, unless `ground_truth_cache`
-    holds it), segment it, train every instantiation on the training span,
-    and forecast all test spans.  Failed forecasts are scored with
-    worst-case padding, never dropped.  The cache also carries each
-    instantiation's internal matrix A from one RC arm to the next.  At
-    `threads` > 1 pool threads build the RC arms' matrices, and all else
-    runs on the calling thread.
+    holds it), segment it, train every instantiation on the training span
+    in turn, and forecast all test spans.  Failed forecasts are scored with
+    worst-case padding, never dropped.  The cache (a `RunCache` or a plain
+    dict, keyed as `RunCache` says) also carries each instantiation's
+    internal matrix A from one RC arm to the next; without one, the call
+    integrates and builds all it needs.
     """
     if model_kind not in MODELS:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -466,8 +453,8 @@ def run_shared_procedure(manifest: RunManifest, model_kind: str, baselines: Base
             members = [Instantiation(expert=_perturbed_expert(
                 manifest, baselines, scheme, base_params, "ode_error", ctx)) for ctx in contexts]
         else:
-            members = _train_rc(manifest, model_kind, baselines, scheme, training, base_params,
-                                cache, contexts, threads)
+            members = [train_instantiation(manifest, model_kind, baselines, scheme, training,
+                                           base_params, cache, ctx) for ctx in contexts]
         records.extend(_forecast_records(manifest, model_kind, regime_name, spans, realization,
                                          sweep_name, sweep_value, members))
     records.sort(key=_record_sort_key)
@@ -517,56 +504,77 @@ def aggregate_report(records) -> list:
     return rows
 
 
-def _run_points(manifest, points, models, threads, on_point):
+@dataclass(frozen=True)
+class PointOutcome:
+    """One finished sweep or grid point.
+
+    `key` is the sweep value or grid corner label, `name` the stem of the
+    point's metric CSV and `label` its progress label.  `failures` holds a
+    (regime, arm, exception) per failed arm; `records` holds the other
+    arms' records.
+    """
+
+    key: object
+    name: str
+    label: str
+    records: tuple
+    failures: tuple = ()
+
+    @property
+    def status(self) -> str:
+        """The point's progress line."""
+        return f"{self.label}: {len(self.records)} records"
+
+
+def _run_points(manifest, points, models, on_point):
     """The one point loop of sweeps and the grid: every (point, regime, arm) in turn.
 
-    `points` holds (key, baselines, param name, param value, status label,
-    error prefix) per point.  Every point's ground truth of a regime is
-    integrated in one batched call before any arm runs, and the RC arms of a
-    point share each instantiation's internal matrix.  A failed arm adds
-    (*error prefix, regime, arm, exception) to the errors and the loop goes
-    on.  `on_point` (if given) is called as each point finishes with its
-    key, its records and a status line.
+    `points` holds (key, name, label, baselines, param name, param value)
+    per point.  Every point's ground truth of a regime is integrated in one
+    batched call before any arm runs, and the RC arms of a point share each
+    instantiation's internal matrix; the cache forgets both when the
+    point's last arm ends.  A failed arm goes into its point's outcome and
+    the loop goes on.  `on_point` (if given) is called with each
+    `PointOutcome` as its point finishes.  Returns (outcomes, summary rows).
     """
-    cache: dict = {}
+    cache = RunCache()
     for regime_name in manifest.regimes:
         _integrate_ground_truths(manifest, regime_name, range(len(points)), cache)
-    per_point = {}
-    errors = []
-    for idx, (key, point_baselines, name, value, label, error_prefix) in enumerate(points):
-        point_records = []
+    outcomes = []
+    for idx, (key, name, label, point_baselines, param_name, value) in enumerate(points):
+        records, failures = [], []
         for regime_name in manifest.regimes:
             for model_kind in models:
                 try:
-                    point_records.extend(run_shared_procedure(
+                    records.extend(run_shared_procedure(
                         manifest, model_kind, point_baselines, regime_name,
-                        sweep_name=name, sweep_value=value, sweep_index=idx,
-                        threads=threads, ground_truth_cache=cache,
+                        sweep_name=param_name, sweep_value=value, sweep_index=idx,
+                        ground_truth_cache=cache,
                     ))
                 except Exception as exc:  # noqa: BLE001 - the run must outlive point failures
-                    errors.append((*error_prefix, regime_name, model_kind, exc))
-        per_point[key] = point_records
+                    failures.append((regime_name, model_kind, exc))
+        cache.release(idx)
+        outcomes.append(PointOutcome(key, name, label, tuple(records), tuple(failures)))
         if on_point is not None:
-            on_point(key, point_records, f"{label}: {len(point_records)} records")
-    all_records = [r for recs in per_point.values() for r in recs]
+            on_point(outcomes[-1])
+    all_records = [r for outcome in outcomes for r in outcome.records]
     summary = aggregate_report(all_records) if all_records else []
-    return per_point, summary, errors
+    return outcomes, summary
 
 
 def run_sweep(manifest: RunManifest, sweep: SweepSpec, baselines: Baselines = Baselines(),
-              models=MODELS, threads: int = 1,
-              on_point=None):
+              models=MODELS, on_point=None):
     """Run every sweep point for every regime and model arm.
 
-    Returns (records per sweep value, summary rows, errors): a failed point
-    or arm adds a (parameter, value, regime, arm, exception) tuple and the
-    sweep goes on, so completed points survive.  `on_point(value, records,
-    status line)` (if given) is called as each point finishes.
+    Returns (one `PointOutcome` per sweep value, summary rows): a failed
+    arm is noted in its point's outcome and the sweep goes on, so completed
+    points survive.  `on_point(outcome)` (if given) is called as each point
+    finishes.
     """
-    points = [(value, baselines.with_param(sweep.parameter, value), sweep.parameter, value,
-               f"sweep {sweep.parameter}={value:g}", (sweep.parameter, value))
+    points = [(value, sweep.point_name(value), f"sweep {sweep.parameter}={value:g}",
+               baselines.with_param(sweep.parameter, value), sweep.parameter, value)
               for value in sweep.values]
-    return _run_points(manifest, points, models, threads, on_point)
+    return _run_points(manifest, points, models, on_point)
 
 
 def check_grid_regimes(regimes) -> None:
@@ -579,18 +587,16 @@ def check_grid_regimes(regimes) -> None:
             )
 
 
-def run_grid_search(manifest: RunManifest, baselines: Baselines = Baselines(),
-                    threads: int = 1, on_point=None):
+def run_grid_search(manifest: RunManifest, baselines: Baselines = Baselines(), on_point=None):
     """Standard and hybrid arms at all 8 grid corners, per regime.
 
-    As `run_sweep`, keyed by corner label, with (label, regime, arm,
-    exception) error tuples.
+    As `run_sweep`, with one outcome per corner, keyed by its label.
     """
     check_grid_regimes(manifest.regimes)
-    points = [(point.label, point.apply(baselines), f"grid_{point.label}", float(idx),
-               f"grid point {point.label}", (point.label,))
+    points = [(point.label, f"grid_{point.label}", f"grid point {point.label}",
+               point.apply(baselines), f"grid_{point.label}", float(idx))
               for idx, point in enumerate(GRID_POINTS)]
-    return _run_points(manifest, points, ("standard", "hybrid"), threads, on_point)
+    return _run_points(manifest, points, ("standard", "hybrid"), on_point)
 
 
 def write_run_log(path, manifest: RunManifest, extra: dict | None = None) -> None:

@@ -25,8 +25,8 @@ class ExpertModel:
 
     States are (2N,) or a (..., 2N) batch of rows.  The RK4 stepper built for
     the last input shape is kept for the next call, so one expert must not be
-    stepped from two threads at once.  The program steps every expert from
-    the calling thread only; its instantiation pool only builds matrices.
+    stepped from two threads at once.  The program runs on one thread, so
+    it never is.
     """
 
     params: KuramotoParams  # omega (N,), or (S, N) for one set per row

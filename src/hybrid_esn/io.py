@@ -17,7 +17,6 @@ from .reservoir import ReservoirMatrices
 
 __all__ = [
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "METRIC_CSV_HEADER",
     "write_metric_csv",
     "read_metric_csv",
@@ -39,21 +38,12 @@ def write_trajectory_csv(path, trajectory: np.ndarray, dt: float) -> None:
     header = ["t"]
     for i in range(1, n_pairs + 1):
         header += [f"x_{i}", f"y_{i}"]
+    # "%.17g" formats a float exactly as format(x, ".17g") does
+    row = ",".join(["%.17g"] * (trajectory.shape[0] + 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(trajectory.shape[1]):
-            row = [_fmt(k * dt, 17)] + [_fmt(v, 17) for v in trajectory[:, k]]
-            fh.write(",".join(row) + "\n")
-
-
-def read_trajectory_csv(path):
-    """Returns (trajectory D_u x n_samples, dt)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
-    t = data[:, 0]
-    dt = float(t[1] - t[0]) if t.size > 1 else 0.0
-    return data[:, 1:].T, dt
+        for k, sample in enumerate(trajectory.T.tolist()):
+            fh.write(row % (k * dt, *sample))
 
 
 def write_metric_csv(path, records) -> None:

@@ -17,7 +17,8 @@ maps phase-form results onto the circle.  `svd_ridge` is the ridge readout
 through a singular value decomposition of the features, which is backward
 stable whichever Gram matrix the program factors.  `count_expert_rows` is a
 spy that counts the rows an expert integrates, to pin the
-one-step-per-sample cost model.
+one-step-per-sample cost model.  `read_trajectory_csv` reads back what
+`io.write_trajectory_csv` writes.
 """
 
 import numpy as np
@@ -181,3 +182,13 @@ def count_expert_rows(expert) -> list:
 
         setattr(expert, name, counted)
     return rows
+
+
+def read_trajectory_csv(path):
+    """Returns (trajectory D_u x n_samples, dt)."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    if data.ndim == 1:
+        data = data[None, :]
+    t = data[:, 0]
+    dt = float(t[1] - t[0]) if t.size > 1 else 0.0
+    return data[:, 1:].T, dt

@@ -6,12 +6,17 @@ Each test prints exactly one line to the terminal:
 
 Criteria 1-3 are fast oracle checks; 4-9 run desk-scale experiments
 (8 instantiations x 5 test spans x 1 realization) at fixed, documented
-master seeds; 10 piggybacks on the experiment machinery.
+master seeds; 10 runs criterion 6's experiment through the command line.
 """
+
+import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from hybrid_esn.cli import main
+from hybrid_esn.config import SCHEMA_VERSION
 from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
@@ -27,12 +32,11 @@ from hybrid_esn.experiments import (
     run_shared_procedure,
     run_sweep,
 )
-from hybrid_esn.io import write_metric_csv
+from hybrid_esn.io import read_metric_csv
 from hybrid_esn.reservoir import train_readout
 from oracle import integrate_step, kuramoto_rhs, rk4_step, wrap_phases
 
 DESK_LAYOUT = SpanLayout(n_tests=5)
-THREADS = 8
 
 # Desk-scale runs pin one master seed per experiment so the criterion is a
 # deterministic regression check rather than a coin flip over realizations.
@@ -65,11 +69,10 @@ def param_sync():
     cache, out = {}, {}
     for model in ("standard", "hybrid", "ode"):
         out[model] = run_shared_procedure(man, model, Baselines(), "synchrony",
-                                          threads=THREADS, ground_truth_cache=cache)
+                                          ground_truth_cache=cache)
     for model in ("standard", "hybrid"):
         out[model + "_rho2"] = run_shared_procedure(
-            man, model, Baselines(spectral_radius=2.0), "synchrony",
-            threads=THREADS, ground_truth_cache=cache)
+            man, model, Baselines(spectral_radius=2.0), "synchrony", ground_truth_cache=cache)
     return out
 
 
@@ -78,16 +81,11 @@ def residual_async():
     man = RunManifest(task="residual_physics", regimes=("asynchrony",),
                       n_instantiations=8, n_realizations=1, layout=DESK_LAYOUT,
                       master_seed=RESIDUAL_ASYNC_SEED)
-
-    def run(threads):
-        cache, records = {}, []
-        for model in ("standard", "hybrid"):
-            records.extend(run_shared_procedure(man, model, Baselines(), "asynchrony",
-                                                threads=threads,
-                                                ground_truth_cache=cache))
-        return records
-
-    return run
+    cache, records = {}, []
+    for model in ("standard", "hybrid"):
+        records.extend(run_shared_procedure(man, model, Baselines(), "asynchrony",
+                                            ground_truth_cache=cache))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ def test_criterion_5_spectral_radius_failure(capsys, param_sync):
 
 
 def test_criterion_6_residual_asynchrony(capsys, residual_async):
-    rows = _mean_map(residual_async(THREADS))
+    rows = _mean_map(residual_async)
     s, h = rows["standard"].valid_time_mean, rows["hybrid"].valid_time_mean
     ok = s < 1.0 and h < 1.0
     announce(capsys, 6, ok,
@@ -202,8 +200,8 @@ def test_criterion_7_heteroclinic_grid_optimum(capsys):
     man = RunManifest(task="residual_physics", regimes=("heteroclinic_cycles",),
                       n_instantiations=8, n_realizations=1, layout=DESK_LAYOUT,
                       master_seed=HETEROCLINIC_SEED)
-    _, summary, errors = run_grid_search(man, Baselines(), threads=THREADS)
-    assert not errors
+    outcomes, summary = run_grid_search(man, Baselines())
+    assert not any(o.failures for o in outcomes)
     best = {}
     for row in summary:
         best[row.model] = max(best.get(row.model, 0.0), row.valid_time_max)
@@ -223,8 +221,7 @@ def test_criterion_8_synchrony_grid_point_a(capsys):
     cache, vt = {}, {}
     for model in ("standard", "hybrid"):
         recs = run_shared_procedure(man, model, base, "synchrony",
-                                    sweep_name="grid_A", threads=THREADS,
-                                    ground_truth_cache=cache)
+                                    sweep_name="grid_A", ground_truth_cache=cache)
         vt[model] = _mean_map(recs)[model].valid_time_mean
     ok = vt["standard"] >= 200.0 and vt["hybrid"] >= 200.0 and vt["hybrid"] >= 240.0
     announce(capsys, 8, ok,
@@ -237,9 +234,8 @@ def test_criterion_9_regularization_robustness(capsys):
                       n_instantiations=8, n_realizations=1, layout=DESK_LAYOUT,
                       master_seed=HETEROCLINIC_SEED)
     sweep = SweepSpec("regularization", (1e-8, 1e-6, 1e-4, 1e-2, 0.5))
-    _, summary, errors = run_sweep(man, sweep, Baselines(),
-                                   models=("standard", "hybrid"), threads=THREADS)
-    assert not errors
+    outcomes, summary = run_sweep(man, sweep, Baselines(), models=("standard", "hybrid"))
+    assert not any(o.failures for o in outcomes)
     widths = {}
     for model in ("standard", "hybrid"):
         pts = sorted((r.param_value, r.valid_time_mean)
@@ -253,13 +249,27 @@ def test_criterion_9_regularization_robustness(capsys):
              f"{widths['hybrid']:.1f} decades vs standard {widths['standard']:.1f}")
 
 
-def test_criterion_10_determinism(capsys, residual_async, tmp_path):
-    a = residual_async(1)
-    b = residual_async(THREADS)
-    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_metric_csv(pa, a)
-    write_metric_csv(pb, b)
-    ok = pa.read_bytes() == pb.read_bytes()
+def test_criterion_10_determinism(capsys, tmp_path):
+    # criterion 6's experiment as a one-point sweep at the baseline sigma_k,
+    # once per value of the config's threads key
+    outputs = {}
+    for threads in (1, 8):
+        config = tmp_path / f"threads{threads}.json"
+        config.write_text(json.dumps({
+            "schema_version": SCHEMA_VERSION, "task": "residual_physics",
+            "regimes": ["asynchrony"], "layout": {"n_tests": DESK_LAYOUT.n_tests},
+            "n_instantiations": 8, "n_realizations": 1, "master_seed": RESIDUAL_ASYNC_SEED,
+            "sweep": {"parameter": "sigma_k", "values": [Baselines().sigma_k]},
+            "models": ["standard", "hybrid"], "threads": threads,
+        }))
+        out = tmp_path / f"out{threads}"
+        result = CliRunner().invoke(main, ["sweep", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs[threads] = out
+    name = f"sigma_k_{Baselines().sigma_k:g}.csv"
+    ok = all((outputs[1] / f).read_bytes() == (outputs[8] / f).read_bytes()
+             for f in (name, "summary.csv"))
+    n_records = len(read_metric_csv(outputs[1] / name))
     announce(capsys, 10, ok,
-             f"identical config + seed at 1 vs {THREADS} threads: metric CSVs "
-             f"{'byte-identical' if ok else 'DIFFER'} ({len(a)} records)")
+             f"identical config + seed at 1 vs 8 threads: metric CSVs "
+             f"{'byte-identical' if ok else 'DIFFER'} ({n_records} records)")

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hybrid_esn import cli, experiments
+from hybrid_esn import cli, experiments, reservoir
 from hybrid_esn import io as hio
 from hybrid_esn.cli import main
 from hybrid_esn.config import SCHEMA_VERSION, SEED_ENV_VAR, load_config
 from hybrid_esn.evaluation import segment
 from hybrid_esn.experiments import SeedScheme, run_shared_procedure, train_instantiation
-from hybrid_esn.io import load_model, read_metric_csv, read_trajectory_csv
+from hybrid_esn.io import load_model, read_metric_csv
 from hybrid_esn.reservoir import CollectionError
+from oracle import read_trajectory_csv
 
 
 @pytest.fixture
@@ -316,6 +317,31 @@ class TestSweepGridReport:
         ]
         assert "Traceback" not in result.output and "('" not in result.stderr
         assert {r.model for r in read_metric_csv(out / "sigma_k_0.05.csv")} == {"ode"}
+
+    def test_failed_grid_arm_names_its_corner(self, runner, tmp_path, monkeypatch):
+        # corner C (sweep index 2) cannot build its internal matrix, so both
+        # of its arms fail and it writes no metric CSV
+        real = reservoir.build_internal_matrix
+
+        def failing(cfg, seed):
+            if seed.bit_generator.seed_seq.entropy[4] == 2:
+                raise RuntimeError("no matrix")
+            return real(cfg, seed)
+
+        monkeypatch.setattr(reservoir, "build_internal_matrix", failing)
+        cfg = write_config(tmp_path, task="residual_physics", regimes=["synchrony"],
+                           baselines={"size": 30})
+        out = tmp_path / "grid"
+        result = runner.invoke(main, ["grid", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.splitlines() == [
+            *(f'arm failed: point=grid_C regime=synchrony arm={arm} error=RuntimeError '
+              f'message="no matrix"' for arm in ("standard", "hybrid")),
+            f"2 arm(s) failed, at 1 of 8 point(s); the other arms' records are in {out}",
+        ]
+        assert "grid point C: 0 records" in result.stdout.splitlines()
+        assert sorted(p.name for p in out.glob("grid_*.csv")) == [
+            f"grid_{label}.csv" for label in "ABDEFGH"]
 
     def test_sweep_threads_byte_identical(self, runner, tmp_path):
         cfg = write_config(tmp_path, sweep={"parameter": "sigma_k", "values": [0.05]},

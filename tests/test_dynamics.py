@@ -91,18 +91,18 @@ class TestKuramotoParams:
 class TestRegimeSpec:
     def test_model_family_follows_harmonics(self):
         law = FrequencyLaw("uniform", -1.0, 1.0)
-        assert RegimeSpec("r", 3, 1.0, law).model_family == "standard"
-        assert RegimeSpec("r", 3, 1.0, law, gamma2=0.9).model_family == "standard"
-        assert RegimeSpec("r", 3, 1.0, law, gamma1=1.3).model_family == "biharmonic"
-        assert RegimeSpec("r", 3, 1.0, law, second_harmonic_scale=0.2).model_family == "biharmonic"
+
+        def biharmonic(regime):
+            return realize_regime(regime, 0)[0].biharmonic
+
+        assert not biharmonic(RegimeSpec("r", 3, 1.0, law))
+        assert not biharmonic(RegimeSpec("r", 3, 1.0, law, gamma2=0.9))
+        assert biharmonic(RegimeSpec("r", 3, 1.0, law, gamma1=1.3))
+        assert biharmonic(RegimeSpec("r", 3, 1.0, law, second_harmonic_scale=0.2))
         for name in ("synchrony", "asynchrony", "multi_frequency"):
-            regime = standard_regime(name)
-            params, _ = realize_regime(regime, 0)
-            assert regime.model_family == "standard" and not params.biharmonic
+            assert not biharmonic(standard_regime(name))
         for name in ("synchrony", "asynchrony", "heteroclinic_cycles", "partial_synchrony"):
-            regime = biharmonic_regime(name)
-            params, _ = realize_regime(regime, 0)
-            assert regime.model_family == "biharmonic" and params.biharmonic
+            assert biharmonic(biharmonic_regime(name))
 
     def test_model_family_is_not_a_field(self):
         # a stored family could contradict the harmonics that the model is drawn from

@@ -1,13 +1,8 @@
 import json
-import threading
-import time
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hybrid_esn import dynamics, experiments, reservoir
 from hybrid_esn.dynamics import (
@@ -29,6 +24,7 @@ from hybrid_esn.experiments import (
     GRID_POINTS,
     GRID_REGIMES,
     Baselines,
+    RunCache,
     RunManifest,
     SeedScheme,
     SweepSpec,
@@ -132,8 +128,9 @@ class TestGridPoints:
 
 class TestRegimeSpec:
     def test_task_selects_model_family(self):
-        assert regime_spec("parameter_error", "synchrony").model_family == "standard"
-        assert regime_spec("residual_physics", "synchrony").model_family == "biharmonic"
+        standard, _ = realize_regime(regime_spec("parameter_error", "synchrony"), 0)
+        biharmonic, _ = realize_regime(regime_spec("residual_physics", "synchrony"), 0)
+        assert not standard.biharmonic and biharmonic.biharmonic
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):
@@ -153,12 +150,6 @@ class TestSharedProcedure:
         assert keys == sorted(keys)
         spans = {r.span for r in recs}
         assert spans == set(range(2 * TINY.n_tests))  # realization-major span ids
-
-    def test_serial_and_threaded_identical(self):
-        man = tiny_manifest(n_instantiations=4)
-        a = run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony", threads=1)
-        b = run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony", threads=4)
-        assert a == b
 
     def test_ground_truth_cache_shared_across_arms(self):
         man = tiny_manifest()
@@ -207,7 +198,7 @@ class TestSharedProcedure:
                             layout=SpanLayout(training=200, train_test_gap=50, warmup=20,
                                               test=60, test_test_gap=10, n_tests=3))
         base = tiny_baselines()
-        got = run_shared_procedure(man, model, base, "synchrony", threads=2)
+        got = run_shared_procedure(man, model, base, "synchrony")
         scheme = SeedScheme(man.master_seed)
         params, theta0 = realize_regime(regime_spec(man.task, "synchrony"),
                                         scheme.stream(man.task, "synchrony"))
@@ -243,66 +234,14 @@ class TestSharedProcedure:
                     valid_time=valid_time(fr, man.epsilon)))
         assert got == want
 
-    def test_pool_runs_one_ridge_fit_at_a_time(self, monkeypatch):
-        # a counter around the factorization, whose sleep would leave a
-        # second thread time to enter, and spies that note the thread of
-        # each fit, state collection, expert step and internal-matrix build
-        real = scipy.linalg.cho_factor
-        guard = threading.Lock()
-        inside, peak, where, submitted = [0], [0], defaultdict(set), []
-
-        def counted(*args, **kwargs):
-            with guard:
-                inside[0] += 1
-                peak[0] = max(peak[0], inside[0])
-            time.sleep(0.05)
-            try:
-                return real(*args, **kwargs)
-            finally:
-                with guard:
-                    inside[0] -= 1
-
-        def spy(name, fn):
-            def noted(*args, **kwargs):
-                with guard:
-                    where[name].add(threading.get_ident())
-                return fn(*args, **kwargs)
-            return noted
-
-        class RecordingPool(ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(fn)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", spy("fit", counted))
-        monkeypatch.setattr(experiments, "collect_states",
-                            spy("collect", experiments.collect_states))
-        monkeypatch.setattr(ExpertModel, "step", spy("expert", ExpertModel.step))
-        monkeypatch.setattr(ExpertModel, "step_rows", spy("expert", ExpertModel.step_rows))
-        monkeypatch.setattr(reservoir, "build_internal_matrix",
-                            spy("build", reservoir.build_internal_matrix))
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-        man = tiny_manifest(n_instantiations=4)
-        serial = run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony", threads=1)
-        assert submitted == []  # one thread makes no pool
-        where.clear()
-        pooled = run_shared_procedure(man, "hybrid", tiny_baselines(), "synchrony", threads=2)
-        caller = {threading.get_ident()}
-        assert where["fit"] == where["collect"] == where["expert"] == caller
-        assert where["build"] and caller.isdisjoint(where["build"])
-        # the pool runs one matrix build per instantiation and nothing else
-        assert submitted == [reservoir.build_matrices] * man.n_instantiations
-        assert peak[0] == 1
-        assert pooled == serial
-
     def test_threads_identical_above_dense_eigen_limit(self):
         # sizes above 300 take their spectral radius from ARPACK
         layout = SpanLayout(training=30, train_test_gap=5, warmup=5, test=10,
                             test_test_gap=2, n_tests=2)
         man = tiny_manifest(layout=layout)
         base = tiny_baselines(size=2100)
-        a = run_shared_procedure(man, "standard", base, "synchrony", threads=1)
-        b = run_shared_procedure(man, "standard", base, "synchrony", threads=2)
+        a = run_shared_procedure(man, "standard", base, "synchrony")
+        b = run_shared_procedure(man, "standard", base, "synchrony")
         assert a == b
 
 
@@ -347,35 +286,34 @@ class TestSweepAndGrid:
     def test_sweep_points_complete(self):
         man = tiny_manifest()
         sweep = SweepSpec("sigma_k", (0.0, 0.1))
-        per_point, summary, errors = run_sweep(man, sweep, tiny_baselines(),
-                                               models=("standard", "ode"))
-        assert errors == []
-        assert set(per_point) == {0.0, 0.1}
-        for recs in per_point.values():
-            assert {r.param_name for r in recs} == {"sigma_k"}
-            assert len(recs) == 2 * 2 * TINY.n_tests  # 2 models x 2 inst x 2 spans
+        outcomes, summary = run_sweep(man, sweep, tiny_baselines(), models=("standard", "ode"))
+        assert [(o.key, o.name, o.failures) for o in outcomes] == [
+            (0.0, "sigma_k_0", ()), (0.1, "sigma_k_0.1", ())]
+        for outcome in outcomes:
+            assert {r.param_name for r in outcome.records} == {"sigma_k"}
+            assert len(outcome.records) == 2 * 2 * TINY.n_tests  # 2 models x 2 inst x 2 spans
         assert len(summary) == 4  # 2 points x 2 models x 1 regime
 
     def test_zero_sigma_ode_is_exactly_right_short_term(self):
         # with no parameter error the bare ODE control matches the ground
         # truth up to integrator truncation, so short-span NMSE is tiny
         man = tiny_manifest()
-        per_point, _, errors = run_sweep(man, SweepSpec("sigma_k", (0.0,)),
-                                         tiny_baselines(sigma_omega=0.0),
-                                         models=("ode",))
-        assert errors == []
-        for r in per_point[0.0]:
+        (outcome,), _ = run_sweep(man, SweepSpec("sigma_k", (0.0,)),
+                                  tiny_baselines(sigma_omega=0.0), models=("ode",))
+        assert outcome.failures == ()
+        for r in outcome.records:
             assert r.mean_nmse < 1e-3
 
     def test_grid_search_runs_all_corners(self):
         man = tiny_manifest(task="residual_physics", regimes=("synchrony",),
                             n_instantiations=1)
-        per_point, summary, errors = run_grid_search(man, tiny_baselines())
-        assert errors == []
-        assert list(per_point) == list("ABCDEFGH")
-        for label, recs in per_point.items():
-            assert {r.param_name for r in recs} == {f"grid_{label}"}
-            assert len(recs) == 2 * 1 * TINY.n_tests  # standard + hybrid
+        outcomes, summary = run_grid_search(man, tiny_baselines())
+        assert [o.key for o in outcomes] == list("ABCDEFGH")
+        for outcome in outcomes:
+            assert outcome.failures == ()
+            assert outcome.name == f"grid_{outcome.key}"
+            assert {r.param_name for r in outcome.records} == {outcome.name}
+            assert len(outcome.records) == 2 * 1 * TINY.n_tests  # standard + hybrid
         assert len(summary) == 16
 
     def test_ground_truth_one_batched_call_per_regime(self, monkeypatch):
@@ -391,15 +329,15 @@ class TestSweepAndGrid:
         monkeypatch.setattr(experiments, "simulate_batch", counting_batch)
         monkeypatch.setattr(dynamics, "simulate", no_simulate)
         man = tiny_manifest(regimes=("synchrony", "asynchrony"), n_realizations=2)
-        _, _, errors = run_sweep(man, SweepSpec("sigma_k", (0.0, 0.1, 0.2)),
-                                 tiny_baselines(), models=("ode",))
-        assert errors == []
+        outcomes, _ = run_sweep(man, SweepSpec("sigma_k", (0.0, 0.1, 0.2)),
+                                tiny_baselines(), models=("ode",))
+        assert all(o.failures == () for o in outcomes)
         assert batches == [3 * 2, 3 * 2]  # one call per regime: points x realizations
         batches.clear()
         man = tiny_manifest(task="residual_physics", regimes=("synchrony",),
                             n_instantiations=1)
-        _, _, errors = run_grid_search(man, tiny_baselines())
-        assert errors == []
+        outcomes, _ = run_grid_search(man, tiny_baselines())
+        assert all(o.failures == () for o in outcomes)
         assert batches == [len(GRID_POINTS)]
 
     def test_blowup_fails_only_its_point_once_per_arm(self):
@@ -409,18 +347,19 @@ class TestSweepAndGrid:
                             master_seed=14317)
         sweep = SweepSpec("regularization", (1e-6, 1e-4))
         models = ("standard", "hybrid", "ode")
-        per_point, _, errors = run_sweep(man, sweep, tiny_baselines(), models=models)
-        assert [err[:4] for err in errors] == [
-            ("regularization", 1e-6, "heteroclinic_cycles", model) for model in models]
-        for err in errors:
-            assert isinstance(err[4], NumericalBlowup) and err[4].step == 1
-        assert per_point[1e-6] == []
+        failed, passed = run_sweep(man, sweep, tiny_baselines(), models=models)[0]
+        assert [failure[:2] for failure in failed.failures] == [
+            ("heteroclinic_cycles", model) for model in models]
+        for _, _, exc in failed.failures:
+            assert isinstance(exc, NumericalBlowup) and exc.step == 1
+        assert (failed.key, failed.records) == (1e-6, ())
         direct = []
         for model in models:
             direct.extend(run_shared_procedure(
                 man, model, tiny_baselines(regularization=1e-4), "heteroclinic_cycles",
                 sweep_name="regularization", sweep_value=1e-4, sweep_index=1))
-        assert per_point[1e-4] == direct
+        assert (passed.key, passed.failures) == (1e-4, ())
+        assert list(passed.records) == direct
 
     def test_on_point_sees_each_point_as_it_finishes(self, monkeypatch):
         # the callback of point k runs before any arm of point k + 1 starts
@@ -433,29 +372,56 @@ class TestSweepAndGrid:
 
         monkeypatch.setattr(experiments, "run_shared_procedure", logged)
         man = tiny_manifest(regimes=("synchrony", "asynchrony"))
-        seen = {}
+        seen = []
 
-        def on_point(key, records, status):
-            events.append(("point", key))
-            seen[key] = (records, status)
+        def on_point(outcome):
+            events.append(("point", outcome.key))
+            seen.append(outcome)
 
-        per_point, _, errors = run_sweep(man, SweepSpec("sigma_k", (0.0, 0.1)),
-                                         tiny_baselines(), models=("standard", "ode"),
-                                         on_point=on_point)
-        assert errors == []
+        outcomes, _ = run_sweep(man, SweepSpec("sigma_k", (0.0, 0.1)), tiny_baselines(),
+                                models=("standard", "ode"), on_point=on_point)
+        assert all(o.failures == () for o in outcomes)
 
         def arms(idx):
             return [("arm", idx, model) for _ in man.regimes for model in ("standard", "ode")]
 
         assert events == [*arms(0), ("point", 0.0), *arms(1), ("point", 0.1)]
-        assert {key: recs for key, (recs, _) in seen.items()} == per_point
-        assert seen[0.1][1] == f"sweep sigma_k=0.1: {len(per_point[0.1])} records"
+        assert seen == outcomes
+        assert seen[1].status == f"sweep sigma_k=0.1: {len(seen[1].records)} records"
         labels = []
         man = tiny_manifest(task="residual_physics", n_instantiations=1)
         run_grid_search(man, tiny_baselines(),
-                        on_point=lambda key, records, status: labels.append(status))
+                        on_point=lambda outcome: labels.append(outcome.status))
         assert labels == [f"grid point {p.label}: {2 * TINY.n_tests} records"
                           for p in GRID_POINTS]
+
+    def test_cache_forgets_each_point_as_it_finishes(self, monkeypatch):
+        # before the first arm every point's ground truth is live; a point's
+        # entries, its ground truth and its internal matrices, go when it ends
+        live = []
+        real = RunCache.release
+
+        def counted(cache, sweep_index):
+            before = len(cache)
+            real(cache, sweep_index)
+            live.append((sweep_index, before, len(cache)))
+
+        monkeypatch.setattr(RunCache, "release", counted)
+        man = tiny_manifest(regimes=("synchrony", "asynchrony"), n_instantiations=2)
+        outcomes, _ = run_sweep(man, SweepSpec("sigma_k", (0.0, 0.1, 0.2)), tiny_baselines(),
+                                models=("standard", "hybrid"))
+        assert all(o.failures == () for o in outcomes)
+        # per point: 2 regimes x (1 ground truth + 2 internal matrices)
+        assert live == [(0, 3 * 2 + 2 * 2, 2 * 2), (1, 2 * 2 + 2 * 2, 2),
+                        (2, 2 + 2 * 2, 0)]
+
+    def test_release_drops_only_its_sweep_index(self):
+        cache = RunCache({("parameter_error", "synchrony", 0, idx): idx for idx in range(3)})
+        cache[("parameter_error", "synchrony", 0, 1, 0, 50, 3.0, 0.4)] = "A"
+        cache.release(1)
+        assert sorted(cache.values()) == [0, 2]
+        cache.release(5)
+        assert len(cache) == 2
 
     def test_ground_truth_ends_at_last_sample_read(self):
         # the batched sweep record is the prefix of the full-length record
@@ -506,46 +472,48 @@ def count_internal_builds(monkeypatch, fail_at=None):
 
 
 class TestSharedInternalMatrix:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_sweep_builds_once_per_instantiation(self, monkeypatch, threads):
-        man = tiny_manifest(n_instantiations=2)
+    @pytest.mark.parametrize("n_instantiations", [1, 2])
+    def test_sweep_builds_once_per_instantiation(self, monkeypatch, n_instantiations):
+        man = tiny_manifest(n_instantiations=n_instantiations)
         sweep = SweepSpec("size", (40, 50))
         calls = count_internal_builds(monkeypatch)
-        per_point, _, errors = run_sweep(man, sweep, tiny_baselines(),
-                                         models=("standard", "hybrid"), threads=threads)
-        assert errors == []
-        # 2 points x 1 regime x 1 realization x 2 instantiations
-        assert len(calls) == len(set(calls)) == 4
-        for idx, value in enumerate(sweep.values):
+        outcomes, _ = run_sweep(man, sweep, tiny_baselines(), models=("standard", "hybrid"))
+        assert all(o.failures == () for o in outcomes)
+        # 2 points x 1 regime x 1 realization x n_instantiations
+        assert len(calls) == len(set(calls)) == 2 * n_instantiations
+        for idx, (value, outcome) in enumerate(zip(sweep.values, outcomes)):
             point = tiny_baselines().with_param("size", value)
             direct = [r for model in ("standard", "hybrid") for r in run_shared_procedure(
                 man, model, point, "synchrony", sweep_name="size", sweep_value=value,
-                sweep_index=idx, threads=threads)]
-            assert repr(per_point[value]) == repr(direct)
+                sweep_index=idx)]
+            assert repr(list(outcome.records)) == repr(direct)
 
     def test_grid_builds_once_per_instantiation(self, monkeypatch):
         man = tiny_manifest(n_instantiations=1)
         calls = count_internal_builds(monkeypatch)
-        per_point, _, errors = run_grid_search(man, tiny_baselines())
-        assert errors == []
+        outcomes, _ = run_grid_search(man, tiny_baselines())
+        assert all(o.failures == () for o in outcomes)
         assert len(calls) == len(set(calls)) == len(GRID_POINTS)
-        for idx, point in enumerate(GRID_POINTS):
+        for idx, (point, outcome) in enumerate(zip(GRID_POINTS, outcomes)):
             direct = [r for model in ("standard", "hybrid") for r in run_shared_procedure(
                 man, model, point.apply(tiny_baselines()), "synchrony",
                 sweep_name=f"grid_{point.label}", sweep_value=float(idx), sweep_index=idx)]
-            assert repr(per_point[point.label]) == repr(direct)
+            assert repr(list(outcome.records)) == repr(direct)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_failed_build_fails_each_rc_arm_of_its_point(self, monkeypatch, threads):
-        man = tiny_manifest(n_instantiations=2)
+    @pytest.mark.parametrize("n_instantiations", [1, 2])
+    def test_failed_build_fails_each_rc_arm_of_its_point(self, monkeypatch, n_instantiations):
+        man = tiny_manifest(n_instantiations=n_instantiations)
         sweep = SweepSpec("spectral_radius", (0.3, 0.4))
-        calls = count_internal_builds(monkeypatch, fail_at=(1, 1))
-        per_point, _, errors = run_sweep(man, sweep, tiny_baselines(),
-                                         models=("standard", "hybrid", "ode"), threads=threads)
-        assert [err[:4] for err in errors] == [("spectral_radius", 0.4, "synchrony", model)
-                                               for model in ("standard", "hybrid")]
-        assert all(isinstance(err[4], RuntimeError) for err in errors)
+        # the build of the last instantiation at the second point fails
+        fail_at = (1, n_instantiations - 1)
+        calls = count_internal_builds(monkeypatch, fail_at=fail_at)
+        ok, failed = run_sweep(man, sweep, tiny_baselines(),
+                               models=("standard", "hybrid", "ode"))[0]
+        assert (ok.failures, failed.key) == ((), 0.4)
+        assert [failure[:2] for failure in failed.failures] == [
+            ("synchrony", model) for model in ("standard", "hybrid")]
+        assert all(isinstance(exc, RuntimeError) for _, _, exc in failed.failures)
         # a failed build is not cached: each RC arm tries it again
-        assert sum(c[4:6] == (1, 1) for c in calls) == 2
-        assert {r.model for r in per_point[0.4]} == {"ode"}
-        assert len(per_point[0.3]) == 3 * 2 * TINY.n_tests
+        assert sum(c[4:6] == fail_at for c in calls) == 2
+        assert {r.model for r in failed.records} == {"ode"}
+        assert len(ok.records) == 3 * n_instantiations * TINY.n_tests

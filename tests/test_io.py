@@ -11,12 +11,12 @@ from hybrid_esn.io import (
     METRIC_CSV_HEADER,
     load_model,
     read_metric_csv,
-    read_trajectory_csv,
     save_model,
     write_metric_csv,
     write_trajectory_csv,
 )
 from hybrid_esn.reservoir import ReservoirMatrices
+from oracle import read_trajectory_csv
 
 
 class TestTrajectoryCsv:
@@ -37,6 +37,15 @@ class TestTrajectoryCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x_1,y_1,x_2,y_2"
         assert len(lines) == 12  # header + one row per sample
+
+    def test_bytes_equal_per_value_format(self, tmp_path):
+        values = [-0.0, 1e-05, 5e-324, 1e+300, -2.5, 0.1, float("nan"), float("-inf")]
+        traj = np.array([values, values[::-1]])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj, 0.01)
+        rows = [",".join(format(x, ".17g") for x in (k * 0.01, *traj[:, k]))
+                for k in range(traj.shape[1])]
+        assert path.read_bytes() == ("t,x_1,y_1\n" + "".join(r + "\n" for r in rows)).encode()
 
     def test_time_column(self, tmp_path):
         traj = np.ones((2, 5))
