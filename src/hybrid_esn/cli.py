@@ -3,7 +3,8 @@
 Commands: generate | train | forecast | sweep | grid | report.
 Exit codes: 0 success, 2 usage/config error, 3 partial experiment failure
 (or a sweep or grid stopped by SIGINT or SIGTERM).
-The HYBRID_ESN_SEED environment variable overrides the config master seed.
+The HYBRID_ESN_SEED environment variable overrides the config master seed
+for every command.
 """
 
 from __future__ import annotations
@@ -84,14 +85,11 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=False))
 @click.option("--regime", required=True)
-@click.option("--seed", type=int, default=None, help="Override the config master seed.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-def generate(config_path, regime, seed, out_path):
+def generate(config_path, regime, out_path):
     """Generate one ground-truth trajectory CSV plus a sidecar metadata file."""
     manifest = _load(config_path).manifest
     try:
-        if seed is not None:
-            manifest = replace(manifest, master_seed=seed)
         params, theta0, trajectory = _ground_truth(manifest, regime, manifest.layout.total_steps)
     except ValueError as exc:
         _fail(str(exc))
@@ -185,11 +183,8 @@ def _interrupt(signum, frame):
     raise KeyboardInterrupt
 
 
-def _run_experiment(cfg, threads, out_dir, grid: bool):
+def _run_experiment(cfg, out_dir, grid: bool):
     """Run the sweep or grid, writing each point's metric CSV as soon as the point ends."""
-    if threads is not None and threads < 1:
-        _fail(f"--threads must be >= 1, got {threads}")
-    threads = cfg.threads if threads is None else threads
     manifest = cfg.manifest
     if grid:
         try:
@@ -222,7 +217,7 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
         if summary:
             _write_atomically(out / "summary.csv", write_summary_csv, summary)
         _write_atomically(out / "run_log.json", write_run_log, manifest,
-                          {"threads": threads, "mode": "grid" if grid else "sweep"})
+                          {"threads": cfg.threads, "mode": "grid" if grid else "sweep"})
     except KeyboardInterrupt:
         _fail(f"interrupted; finished points in {out}: {', '.join(finished) or 'none'}", 3)
     finally:
@@ -243,24 +238,18 @@ def _run_experiment(cfg, threads, out_dir, grid: bool):
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--threads", type=int, default=None,
-              help="Recorded in run_log.json; every run is serial.")
-@click.option("--out", "out_dir", default=None, type=click.Path())
-def sweep(config_path, threads, out_dir):
+@click.option("--out", "out_dir", default="out", show_default=True, type=click.Path())
+def sweep(config_path, out_dir):
     """Run the config's parameter sweep across all model arms."""
-    cfg = _load(config_path)
-    _run_experiment(cfg, threads, out_dir or cfg.output_dir, grid=False)
+    _run_experiment(_load(config_path), out_dir, grid=False)
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--threads", type=int, default=None,
-              help="Recorded in run_log.json; every run is serial.")
-@click.option("--out", "out_dir", default=None, type=click.Path())
-def grid(config_path, threads, out_dir):
+@click.option("--out", "out_dir", default="out", show_default=True, type=click.Path())
+def grid(config_path, out_dir):
     """Run the 8-corner grid search (standard and hybrid arms)."""
-    cfg = _load(config_path)
-    _run_experiment(cfg, threads, out_dir or cfg.output_dir, grid=True)
+    _run_experiment(_load(config_path), out_dir, grid=True)
 
 
 @main.command()

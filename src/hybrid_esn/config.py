@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dynamics import IntegratorConfig, check_count
 from .evaluation import SpanLayout
-from .experiments import MODELS, Baselines, RunManifest, SweepSpec
+from .experiments import MODELS, Baselines, RunManifest, SweepSpec, check_list
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "SCHEMA_VERSION"]
 
@@ -44,14 +44,11 @@ class ExperimentConfig:
     manifest: RunManifest
     baselines: Baselines = Baselines()
     sweep: SweepSpec | None = None
-    output_dir: str = "out"
     threads: int = 1  # checked and written to run_log.json; every run is serial
     models: tuple = MODELS
 
     def __post_init__(self):
-        if not isinstance(self.output_dir, str):
-            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        object.__setattr__(self, "models", tuple(self.models))
+        object.__setattr__(self, "models", check_list("models", self.models, "model arm names"))
         if not self.models:
             raise ValueError("models must name at least one model arm")
         for model in self.models:
@@ -66,7 +63,7 @@ class ExperimentConfig:
 
 _MANIFEST_KEYS = ("task", "regimes", "n_instantiations", "n_realizations", "epsilon",
                   "master_seed")
-_CLI_KEYS = ("output_dir", "threads", "models")
+_CLI_KEYS = ("threads", "models")
 _TOP_KEYS = ("schema_version", "baselines", "integrator", "layout", "sweep",
              *_MANIFEST_KEYS, *_CLI_KEYS)
 
@@ -102,10 +99,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     integ_doc = doc.get("integrator", {})
     _check_keys(integ_doc, IntegratorConfig.__dataclass_fields__, "integrator")
     layout_doc = doc.get("layout", {})
-    _check_keys(layout_doc, SpanLayout.__dataclass_fields__, "layout")
+    # no layout.dt key: the expert must step the interval the samples are integrated apart
+    _check_keys(layout_doc, set(SpanLayout.__dataclass_fields__) - {"dt"}, "layout")
     with _reported():
         integrator = IntegratorConfig(**integ_doc)
-        layout = SpanLayout(**{"dt": integrator.dt, **layout_doc})
+        layout = SpanLayout(**layout_doc, dt=integrator.dt)
 
     sweep = None
     if doc.get("sweep") is not None:
@@ -114,7 +112,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if "parameter" not in sweep_doc or "values" not in sweep_doc:
             raise ConfigError("sweep needs both a parameter and values")
         with _reported():
-            sweep = SweepSpec(parameter=sweep_doc["parameter"], values=tuple(sweep_doc["values"]))
+            sweep = SweepSpec(parameter=sweep_doc["parameter"], values=sweep_doc["values"])
         for value in sweep.values:  # reject an out-of-range point before anything runs
             with _reported(f"sweep value {sweep.parameter}={value:g}: "):
                 baselines.with_param(sweep.parameter, value)

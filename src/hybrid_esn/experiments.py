@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -55,6 +56,7 @@ __all__ = [
     "draw_ground_truth",
     "instantiation_context",
     "check_record_names",
+    "check_list",
     "train_instantiation",
     "run_shared_procedure",
     "run_sweep",
@@ -156,6 +158,14 @@ class Baselines(ReservoirConfig):
         return replace(self, **{name: value})
 
 
+def check_list(name: str, value, what: str) -> tuple:
+    """`value` as a tuple; ValueError naming `name` unless it is an iterable of items
+    (a string or a mapping is not one)."""
+    if isinstance(value, Iterable) and not isinstance(value, (str, Mapping)):
+        return tuple(value)
+    raise ValueError(f"{name} must be a list of {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept parameter and its grid; everything else stays at baseline."""
@@ -165,6 +175,7 @@ class SweepSpec:
 
     def __post_init__(self):
         Baselines.check_parameter(self.parameter)
+        object.__setattr__(self, "values", check_list("sweep values", self.values, "numbers"))
         if len(self.values) < 1:
             raise ValueError("sweep needs at least one value")
         for value in self.values:
@@ -246,8 +257,8 @@ class RunManifest:
             # integrated the integrator's dt apart
             raise ValueError(f"layout dt {self.layout.dt:g} must equal integrator dt "
                              f"{self.integrator.dt:g}")
-        object.__setattr__(self, "regimes",
-                           task.regimes if self.regimes is None else tuple(self.regimes))
+        object.__setattr__(self, "regimes", task.regimes if self.regimes is None
+                           else check_list("regimes", self.regimes, "regime names"))
         if not self.regimes:
             raise ValueError("regimes must name at least one regime")
         for regime in self.regimes:

@@ -28,8 +28,9 @@ METRIC_CSV_HEADER = ("task,regime,model,param_name,param_value,"
                      "instantiation,span,mean_nmse,valid_time_s")
 
 
-def _fmt(x: float, digits: int) -> str:
-    return format(float(x), f".{digits}g")
+def fmt9(x: float) -> str:
+    """A float at 9 significant digits, as the metric and summary CSVs write it."""
+    return format(float(x), ".9g")
 
 
 def write_trajectory_csv(path, trajectory: np.ndarray, dt: float) -> None:
@@ -52,9 +53,9 @@ def write_metric_csv(path, records) -> None:
         fh.write(METRIC_CSV_HEADER + "\n")
         for r in records:
             fh.write(",".join([
-                r.task, r.regime, r.model, r.param_name, _fmt(r.param_value, 9),
+                r.task, r.regime, r.model, r.param_name, fmt9(r.param_value),
                 str(r.instantiation), str(r.span),
-                _fmt(r.mean_nmse, 9), _fmt(r.valid_time, 9),
+                fmt9(r.mean_nmse), fmt9(r.valid_time),
             ]) + "\n")
 
 

@@ -6,6 +6,7 @@ import math
 from collections import defaultdict
 
 from .experiments import SummaryRow
+from .io import fmt9
 
 __all__ = ["write_summary_csv", "render_sweep_svg", "ARM_COLORS"]
 
@@ -23,19 +24,15 @@ _METRICS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def write_summary_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(SUMMARY_CSV_HEADER + "\n")
         for r in rows:
             fh.write(",".join([
-                r.task, r.regime, r.model, r.param_name, _fmt(r.param_value),
+                r.task, r.regime, r.model, r.param_name, fmt9(r.param_value),
                 str(r.n_instantiations),
-                _fmt(r.nmse_mean), _fmt(r.nmse_std), _fmt(r.nmse_max),
-                _fmt(r.valid_time_mean), _fmt(r.valid_time_std), _fmt(r.valid_time_max),
+                fmt9(r.nmse_mean), fmt9(r.nmse_std), fmt9(r.nmse_max),
+                fmt9(r.valid_time_mean), fmt9(r.valid_time_std), fmt9(r.valid_time_max),
             ]) + "\n")
 
 

@@ -343,18 +343,6 @@ class TestSweepGridReport:
         assert sorted(p.name for p in out.glob("grid_*.csv")) == [
             f"grid_{label}.csv" for label in "ABDEFGH"]
 
-    def test_sweep_threads_byte_identical(self, runner, tmp_path):
-        cfg = write_config(tmp_path, sweep={"parameter": "sigma_k", "values": [0.05]},
-                           models=["hybrid"], n_instantiations=3)
-        out1, out8 = tmp_path / "o1", tmp_path / "o8"
-        for out, threads in ((out1, "1"), (out8, "8")):
-            result = runner.invoke(main, ["sweep", "--config", str(cfg),
-                                          "--threads", threads, "--out", str(out)])
-            assert result.exit_code == 0, result.output
-        assert ((out1 / "sigma_k_0.05.csv").read_bytes()
-                == (out8 / "sigma_k_0.05.csv").read_bytes())
-        assert (out1 / "summary.csv").read_bytes() == (out8 / "summary.csv").read_bytes()
-
     @pytest.mark.parametrize("baselines, values", [
         ({"size": 40, "regularization": -1}, [0.0]),
         ({"size": 40}, [0.0, -0.1]),
@@ -546,10 +534,10 @@ def bad_out_below_file(tmp_path):
     return ["--out", str(tmp_path / "taken" / "results")]
 
 
-def seed_env(value):
-    """No extra arguments; the command runs with HYBRID_ESN_SEED set to `value`."""
+def seed_env(value, *args):
+    """Extra arguments `args`; the command runs with HYBRID_ESN_SEED set to `value`."""
     def extra(tmp_path):
-        return []
+        return list(args)
     extra.env = {SEED_ENV_VAR: value}
     return extra
 
@@ -559,8 +547,6 @@ def seed_env(value):
     ("grid", {}, bad_out_file, "taken"),
     ("sweep", {}, bad_out_below_file, "taken/results"),
     ("grid", {"regimes": ["asynchrony"]}, lambda p: [], "'asynchrony'"),
-    ("sweep", {}, lambda p: ["--threads", "0"], "--threads must be >= 1"),
-    ("grid", {}, lambda p: ["--threads", "-2"], "--threads must be >= 1"),
     ("sweep", {"n_instantiations": 0}, lambda p: [],
      "n_instantiations must be an integer >= 1, got 0"),
     ("sweep", {"n_realizations": 0}, lambda p: [],
@@ -571,14 +557,14 @@ def seed_env(value):
      "n_realizations must be an integer >= 1"),
     ("sweep", {"threads": 1.5}, lambda p: [], "threads must be an integer >= 1, got 1.5"),
     ("sweep", {"layout": {**TINY_LAYOUT, "dt": 0.05}}, lambda p: [],
-     "layout dt 0.05 must equal integrator dt 0.1"),
-    ("generate", {"integrator": {"dt": 0.05}, "layout": {**TINY_LAYOUT, "dt": 0.1}},
-     lambda p: ["--regime", "synchrony"], "layout dt 0.1 must equal integrator dt 0.05"),
+     "unknown key(s) in layout: dt"),
+    ("generate", {"integrator": {"dt": 0.05}, "layout": {**TINY_LAYOUT, "dt": 0.05}},
+     lambda p: ["--regime", "synchrony"], "unknown key(s) in layout: dt"),
     ("sweep", {"master_seed": -1}, lambda p: [], "master_seed must be an integer >= 0, got -1"),
     ("sweep", {"master_seed": "a"}, lambda p: [], "master_seed must be an integer >= 0, got 'a'"),
     ("sweep", {}, seed_env("-1"), "HYBRID_ESN_SEED must be an integer >= 0, got '-1'"),
-    ("generate", {}, lambda p: ["--regime", "synchrony", "--seed", "-1"],
-     "master_seed must be an integer >= 0, got -1"),
+    ("generate", {}, seed_env("-1", "--regime", "synchrony"),
+     "HYBRID_ESN_SEED must be an integer >= 0, got '-1'"),
     ("sweep", {"integrator": {"substeps_per_sample": 2.5}}, lambda p: [],
      "substeps_per_sample must be an integer >= 1, got 2.5"),
     ("sweep", {"integrator": {"dt": "a"}}, lambda p: [], "dt must be a finite number, got 'a'"),
@@ -589,10 +575,16 @@ def seed_env(value):
     ("sweep", {"models": ["ode", "ode"]}, lambda p: [], "models must not repeat: ode"),
     ("sweep", {"regimes": []}, lambda p: [], "regimes must name at least one regime"),
     ("sweep", {"grid": True}, lambda p: [], "unknown key(s) in config: grid"),
-    ("sweep", {"output_dir": 5}, lambda p: [], "output_dir must be a string, got 5"),
+    ("sweep", {"output_dir": 5}, lambda p: [], "unknown key(s) in config: output_dir"),
     ("sweep", {"layout": 5}, lambda p: [], "layout must be a JSON object"),
     ("sweep", {"sweep": {"parameter": "sigma_k", "values": 5}}, lambda p: [],
-     "'int' object is not iterable"),
+     "sweep values must be a list of numbers, got 5"),
+    ("sweep", {"sweep": {"parameter": "sigma_k", "values": "0.1"}}, lambda p: [],
+     "sweep values must be a list of numbers, got '0.1'"),
+    ("sweep", {"regimes": "synchrony"}, lambda p: [],
+     "regimes must be a list of regime names, got 'synchrony'"),
+    ("sweep", {"models": "hybrid"}, lambda p: [],
+     "models must be a list of model arm names, got 'hybrid'"),
     ("sweep", {"regimes": ["synchrony", "synchrony"]}, lambda p: [],
      "regimes must not repeat: synchrony"),
     ("grid", {"task": "residual_physics",
@@ -620,12 +612,13 @@ def seed_env(value):
     ("sweep", {"sweep": {"parameter": "sigma_k", "values": [0.0, True]}}, lambda p: [],
      "sweep values must be numbers, got True"),
 ], ids=["sweep_out_is_file", "grid_out_is_file", "out_below_file", "grid_regime",
-        "threads_0", "threads_negative", "instantiations_0", "realizations_0",
+        "instantiations_0", "realizations_0",
         "instantiations_float", "realizations_str", "config_threads_float", "layout_dt",
         "integrator_dt", "master_seed_negative", "master_seed_str", "env_seed_negative",
         "generate_seed_negative", "substeps_float", "integrator_dt_str", "layout_test_float",
         "epsilon_negative", "models_empty", "models_repeated", "regimes_empty", "grid_key",
-        "output_dir_int", "layout_not_object", "sweep_values_int", "regimes_repeated",
+        "output_dir_int", "layout_not_object", "sweep_values_int", "sweep_values_str",
+        "regimes_str", "models_str", "regimes_repeated",
         "grid_regimes_repeated",
         "sweep_values_repeated", "sweep_values_same_name", "sweep_size_fractional",
         "baselines_size_fractional", "regularization_nan", "spectral_radius_inf",
@@ -647,6 +640,21 @@ def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, 
     result = runner.invoke(main, argv, env=getattr(extra, "env", None))
     assert_one_line_error(result, 2, fragment)
     assert "Traceback" not in result.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--threads", "2"],
+    ["grid", "--threads", "2"],
+    ["generate", "--regime", "synchrony", "--seed", "3"],
+], ids=["sweep_threads", "grid_threads", "generate_seed"])
+def test_removed_option_exits_2(runner, tmp_path, argv):
+    # the config's threads key and HYBRID_ESN_SEED are the one home of these settings
+    cfg = write_config(tmp_path, sweep={"parameter": "sigma_k", "values": [0.0]})
+    result = runner.invoke(main, [*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    error = result.output.splitlines()[-1]
+    assert error.startswith("Error: No such option") and argv[-2] in error
     assert not (tmp_path / "o").exists()
 
 

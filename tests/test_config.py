@@ -9,6 +9,8 @@ from hybrid_esn.config import (
     load_config,
     parse_config,
 )
+from hybrid_esn.dynamics import IntegratorConfig
+from hybrid_esn.evaluation import SpanLayout
 from hybrid_esn.experiments import Baselines, RunManifest
 
 
@@ -141,3 +143,9 @@ class TestLoadConfig:
     def test_direct_constructor_defaults_realizations_per_task(self):
         assert RunManifest(task="residual_physics", regimes=("synchrony",)).n_realizations == 1
         assert RunManifest(task="parameter_error", regimes=("synchrony",)).n_realizations == 3
+
+    def test_direct_constructor_rejects_layout_dt_mismatch(self):
+        # a config fills layout.dt from integrator.dt, so only a library caller reaches this
+        with pytest.raises(ValueError, match="layout dt 0.05 must equal integrator dt 0.1"):
+            RunManifest(task="parameter_error", layout=SpanLayout(dt=0.05),
+                        integrator=IntegratorConfig(dt=0.1))
