@@ -13,15 +13,7 @@ from .dynamics import (
     sample_frequencies,
     standard_regime,
 )
-from .evaluation import (
-    ForecastResult,
-    MetricRecord,
-    SpanLayout,
-    mean_nmse,
-    nmse_series,
-    segment,
-    valid_time,
-)
+from .evaluation import MetricRecord, SpanLayout, segment
 from .experiments import (
     Baselines,
     GRID_POINTS,

@@ -10,12 +10,8 @@ from .dynamics import check_count, check_real
 
 __all__ = [
     "SpanLayout",
-    "ForecastResult",
     "MetricRecord",
     "segment",
-    "nmse_series",
-    "mean_nmse",
-    "valid_time",
     "nmse_denominator",
     "span_metrics",
 ]
@@ -54,21 +50,6 @@ class SpanLayout:
     def needed_samples(self) -> int:
         """Samples `segment` reads: the record up to the end of the last test span."""
         return self.total_steps - self.test_test_gap
-
-
-@dataclass(frozen=True)
-class ForecastResult:
-    """Predicted and ground-truth component trajectories over one test span."""
-
-    prediction: np.ndarray  # D_u x H
-    truth: np.ndarray       # D_u x H
-    dt: float
-
-    def __post_init__(self):
-        if self.prediction.shape != self.truth.shape:
-            raise ValueError("prediction and truth must have equal shapes")
-        if self.prediction.ndim != 2 or self.prediction.shape[1] < 1:
-            raise ValueError("need at least one forecast step")
 
 
 @dataclass(frozen=True)
@@ -117,45 +98,25 @@ def nmse_denominator(truth: np.ndarray) -> float:
     return denom
 
 
-def nmse_series(fr: ForecastResult) -> np.ndarray:
-    """NMSE(t) = ||u(t) - u*(t)|| / rms_tau ||u(tau)||, per forecast step.
-
-    The denominator is the root-mean-square norm of the test span's ground
-    truth (sqrt(N) exactly for unit-circle states).
-    """
-    return _error_norms(fr) / nmse_denominator(fr.truth)
-
-
-def _error_norms(fr: ForecastResult) -> np.ndarray:
-    """||u(t) - u*(t)|| per forecast step."""
-    return np.linalg.norm(fr.truth - fr.prediction, axis=0)
-
-
-def mean_nmse(fr: ForecastResult) -> float:
-    """Arithmetic mean of the NMSE series over the whole forecast."""
-    return span_metrics(_error_norms(fr), fr.truth, fr.dt)[0]
-
-
-def valid_time(fr: ForecastResult, epsilon: float = 0.4) -> float:
-    """Duration (s) of the longest prefix with NMSE <= epsilon throughout.
-
-    The first prediction carries timestamp dt; a forecast whose very first
-    sample exceeds epsilon scores 0, and one that never does scores H*dt.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return span_metrics(_error_norms(fr), fr.truth, fr.dt, epsilon)[1]
-
-
 def span_metrics(error_norms: np.ndarray, truth: np.ndarray, dt: float,
                  epsilon: float = 0.4):
     """(mean NMSE, valid time) of one forecast from its per-step ||u(t) - u*(t)||.
+
+    NMSE(t) = ||u(t) - u*(t)|| / rms_tau ||u*(tau)||, per forecast step; the
+    denominator is the root-mean-square norm of the test span's ground truth
+    (sqrt(N) exactly for unit-circle states).  The mean NMSE averages the
+    series over the whole horizon H = truth.shape[1].  The valid time (s) is
+    the duration of the longest prefix with NMSE <= epsilon throughout: the
+    first prediction carries timestamp dt, so a forecast whose very first
+    sample exceeds epsilon scores 0, and one that never does scores H*dt.
 
     A series shorter than the truth is an aborted forecast, scored at the
     worst case rather than dropped: the series is normalized over the truth
     it covers and padded with 2.0 (the antipodal-forecast level) out to the
     full horizon for the mean, and valid time comes from the prefix alone.
     """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     horizon = truth.shape[1]
     k = error_norms.shape[0]
     if k == 0:

@@ -399,7 +399,7 @@ def _forecast_records(manifest, model_kind, regime_name, spans, realization,
     d_u, horizon = truths[0].shape
     norms = np.empty((horizon, n_cols))
     # at least two columns, so that numpy sums axis 0 row by row, as
-    # nmse_series does on a D_u x H span, rather than pairwise
+    # np.linalg.norm(test - preds, axis=0) does on one span, rather than pairwise
     squares = np.zeros((d_u, max(n_cols, 2)))
     diff = squares[:, :n_cols].reshape(d_u, n_inst, n_spans)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -26,6 +27,9 @@ __all__ = [
 
 METRIC_CSV_HEADER = ("task,regime,model,param_name,param_value,"
                      "instantiation,span,mean_nmse,valid_time_s")
+# Metric CSV cells that the program only ever writes finite, and non-negative.
+_FINITE_COLUMNS = ("param_value", "mean_nmse", "valid_time_s")
+_NON_NEGATIVE_COLUMNS = ("instantiation", "span", "mean_nmse", "valid_time_s")
 
 
 def fmt9(x: float) -> str:
@@ -60,8 +64,9 @@ def write_metric_csv(path, records) -> None:
 
 
 def read_metric_csv(path):
-    """MetricRecord rows; ValueError on a missing column, a cell that does not parse, or a
-    task, regime, model or parameter name that the program does not write."""
+    """MetricRecord rows; ValueError on a missing column, a cell that does not parse, a
+    task, regime, model or parameter name that the program does not write, a non-finite
+    number, or a negative count or metric."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -77,6 +82,12 @@ def read_metric_csv(path):
                     mean_nmse=float(row["mean_nmse"]), valid_time=float(row["valid_time_s"]),
                 )
                 check_record_names(record)
+                for column in _FINITE_COLUMNS:
+                    if not math.isfinite(float(row[column])):
+                        raise ValueError(f"{column} {row[column]!r} is not finite")
+                for column in _NON_NEGATIVE_COLUMNS:
+                    if float(row[column]) < 0:
+                        raise ValueError(f"{column} {row[column]!r} is negative")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from exc
             records.append(record)

@@ -22,7 +22,7 @@ from hybrid_esn.dynamics import (
     KuramotoParams,
     phases_to_components,
 )
-from hybrid_esn.evaluation import ForecastResult, SpanLayout, nmse_series, valid_time
+from hybrid_esn.evaluation import SpanLayout, nmse_denominator, span_metrics
 from hybrid_esn.experiments import (
     Baselines,
     RunManifest,
@@ -142,17 +142,19 @@ def test_criterion_3_metric_fidelity(capsys):
     # denominator = sqrt(N): a constant-offset prediction of norm d scores d/sqrt(5)
     offset = np.zeros((10, 1))
     offset[0] = 0.5
-    fr = ForecastResult(prediction=truth + offset, truth=truth, dt=0.1)
-    denom_dev = float(np.max(np.abs(nmse_series(fr) - 0.5 / np.sqrt(5))))
+
+    def nmse(prediction):
+        return np.linalg.norm(truth - prediction, axis=0) / nmse_denominator(truth)
+
+    denom_dev = float(np.max(np.abs(nmse(truth + offset) - 0.5 / np.sqrt(5))))
     # antipodal forecast scores exactly 2
-    anti = ForecastResult(prediction=-truth, truth=truth, dt=0.1)
-    anti_dev = float(np.max(np.abs(nmse_series(anti) - 2.0)))
+    anti_dev = float(np.max(np.abs(nmse(-truth) - 2.0)))
 
     def vt(series):
         t = np.vstack([np.ones(len(series)), np.zeros(len(series))])
         p = t.copy()
         p[1] = series
-        return valid_time(ForecastResult(prediction=p, truth=t, dt=0.1), 0.4)
+        return span_metrics(np.linalg.norm(t - p, axis=0), t, 0.1, 0.4)[1]
 
     boundary_ok = (vt([0.1, 0.2, 0.5, 0.3]) == pytest.approx(0.2)
                    and vt([0.41]) == 0.0

@@ -26,6 +26,10 @@ def runner():
 TINY_LAYOUT = {"training": 150, "train_test_gap": 30, "warmup": 15,
                "test": 40, "test_test_gap": 5, "n_tests": 2}
 
+METRIC_ROWS = (hio.METRIC_CSV_HEADER + "\n"
+               "parameter_error,synchrony,hybrid,sigma_k,0,0,0,0.1,1\n"
+               "parameter_error,synchrony,hybrid,sigma_k,0.1,0,0,0.2,0.5\n")
+
 
 def write_config(tmp_path, **kw):
     doc = {
@@ -410,10 +414,26 @@ class TestSweepGridReport:
         (hio.METRIC_CSV_HEADER + "\nparameter_error,synchrony,hybrid,sigma_k,0,0,0,0.1,1\n"
          "parameter_error,synchrony,hybrid,sigma_k,0,0,1,abc,1\n",
          "line 3: could not convert string to float: 'abc'"),
-    ], ids=["missing_columns", "non_numeric_cell"])
+        (METRIC_ROWS + "parameter_error,synchrony,hybrid,sigma_k,nan,0,1,0.1,1\n",
+         "line 4: param_value 'nan' is not finite"),
+        (METRIC_ROWS + "parameter_error,synchrony,hybrid,sigma_k,0,0,1,inf,1\n",
+         "line 4: mean_nmse 'inf' is not finite"),
+        (METRIC_ROWS + "parameter_error,synchrony,hybrid,sigma_k,0,0,1,0.1,1e400\n",
+         "line 4: valid_time_s '1e400' is not finite"),
+        (METRIC_ROWS + "parameter_error,synchrony,hybrid,sigma_k,0,0,1,-1,1\n",
+         "line 4: mean_nmse '-1' is negative"),
+        (METRIC_ROWS + "parameter_error,synchrony,hybrid,sigma_k,0,0,1,0.1,-1\n",
+         "line 4: valid_time_s '-1' is negative"),
+        (METRIC_ROWS + "parameter_error,synchrony,hybrid,sigma_k,0,-1,1,0.1,1\n",
+         "line 4: instantiation '-1' is negative"),
+        (METRIC_ROWS + "parameter_error,synchrony,hybrid,sigma_k,0,0,-1,0.1,1\n",
+         "line 4: span '-1' is negative"),
+    ], ids=["missing_columns", "non_numeric_cell", "nan_param_value", "inf_mean_nmse",
+            "overflow_valid_time", "negative_mean_nmse", "negative_valid_time",
+            "negative_instantiation", "negative_span"])
     def test_report_malformed_csv_exits_2(self, runner, tmp_path, text, fragment):
         (tmp_path / "points.csv").write_text(text)
-        result = runner.invoke(main, ["report", "--in", str(tmp_path)])
+        result = runner.invoke(main, ["report", "--in", str(tmp_path), "--plot"])
         assert_one_line_error(result, 2, f"cannot read metric CSV {tmp_path / 'points.csv'}: ")
         assert fragment in result.output
         assert not (tmp_path / "summary.csv").exists()
@@ -656,12 +676,6 @@ def test_removed_option_exits_2(runner, tmp_path, argv):
     error = result.output.splitlines()[-1]
     assert error.startswith("Error: No such option") and argv[-2] in error
     assert not (tmp_path / "o").exists()
-
-
-
-METRIC_ROWS = (hio.METRIC_CSV_HEADER + "\n"
-               "parameter_error,synchrony,hybrid,sigma_k,0,0,0,0.1,1\n"
-               "parameter_error,synchrony,hybrid,sigma_k,0.1,0,0,0.2,0.5\n")
 
 
 @pytest.mark.parametrize("argv, owner, writer, target", [

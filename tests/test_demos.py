@@ -22,8 +22,9 @@ def run_script(path, cwd):
                           capture_output=True, text=True, timeout=600)
 
 
-def test_hybrid_vs_standard_demo_runs(tmp_path):
-    result = run_script(ROOT / "demos" / "02_hybrid_vs_standard_forecast.py", tmp_path)
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(tmp_path, demo):
+    result = run_script(demo, tmp_path)
     assert result.returncode == 0, result.stderr
 
 

@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybrid_esn.evaluation import (
-    ForecastResult,
-    SpanLayout,
-    mean_nmse,
-    nmse_series,
-    segment,
-    span_metrics,
-    valid_time,
-)
+from hybrid_esn.evaluation import SpanLayout, nmse_denominator, segment, span_metrics
 
 
 class TestSpanLayout:
@@ -75,12 +67,16 @@ class TestSegment:
         assert training.shape[1] == 51
 
 
+def nmse(prediction, truth):
+    """The NMSE series of a full forecast, as `span_metrics` normalizes it."""
+    return np.linalg.norm(truth - prediction, axis=0) / nmse_denominator(truth)
+
+
 class TestNmse:
     def test_perfect_forecast_zero(self):
         truth = np.vstack([np.ones(10), np.zeros(10)])
-        fr = ForecastResult(prediction=truth.copy(), truth=truth, dt=0.1)
-        np.testing.assert_array_equal(nmse_series(fr), np.zeros(10))
-        assert mean_nmse(fr) == 0.0
+        np.testing.assert_array_equal(nmse(truth.copy(), truth), np.zeros(10))
+        assert span_metrics(np.linalg.norm(truth - truth.copy(), axis=0), truth, 0.1)[0] == 0.0
 
     def test_unit_circle_denominator_is_sqrt_n(self):
         # truth on 3 unit circles: denominator sqrt(3); a prediction offset by
@@ -92,23 +88,17 @@ class TestNmse:
         truth[1::2] = np.sin(theta)
         offset = np.zeros((6, 1))
         offset[0] = 0.3
-        fr = ForecastResult(prediction=truth + offset, truth=truth, dt=0.1)
-        np.testing.assert_allclose(nmse_series(fr), 0.3 / np.sqrt(3), atol=1e-12)
+        np.testing.assert_allclose(nmse(truth + offset, truth), 0.3 / np.sqrt(3), atol=1e-12)
 
     def test_antipodal_forecast_scores_two(self):
         theta = np.linspace(0, 3, 15)
         truth = np.vstack([np.cos(theta), np.sin(theta)])
-        fr = ForecastResult(prediction=-truth, truth=truth, dt=0.1)
-        np.testing.assert_allclose(nmse_series(fr), 2.0, atol=1e-12)
+        np.testing.assert_allclose(nmse(-truth, truth), 2.0, atol=1e-12)
 
     def test_zero_truth_rejected(self):
-        fr = ForecastResult(prediction=np.ones((2, 3)), truth=np.zeros((2, 3)), dt=0.1)
-        with pytest.raises(ValueError):
-            nmse_series(fr)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ForecastResult(prediction=np.ones((2, 3)), truth=np.ones((2, 4)), dt=0.1)
+        truth = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="ground truth is identically zero"):
+            span_metrics(np.linalg.norm(truth - np.ones((2, 3)), axis=0), truth, 0.1)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -123,56 +113,52 @@ class TestNmse:
             out[1::2] = np.sin(th)
             return out
 
-        fr = ForecastResult(prediction=comp(theta_p), truth=comp(theta_t), dt=0.1)
         perm = rng.permutation(4)
-        fr_p = ForecastResult(prediction=comp(theta_p[perm]), truth=comp(theta_t[perm]), dt=0.1)
-        np.testing.assert_allclose(nmse_series(fr), nmse_series(fr_p), atol=1e-12)
+        np.testing.assert_allclose(nmse(comp(theta_p), comp(theta_t)),
+                                   nmse(comp(theta_p[perm]), comp(theta_t[perm])), atol=1e-12)
 
 
-def _series_result(series):
-    """Build a 1-oscillator ForecastResult whose NMSE series equals `series`."""
+def series_valid_time(series, epsilon):
+    """`span_metrics`'s valid time of a 1-oscillator forecast whose NMSE series is `series`."""
     h = len(series)
     truth = np.vstack([np.ones(h), np.zeros(h)])
     pred = truth.copy()
     pred[1] = np.asarray(series, dtype=float)  # error norm = series value
-    return ForecastResult(prediction=pred, truth=truth, dt=0.1)
+    return span_metrics(np.linalg.norm(truth - pred, axis=0), truth, 0.1, epsilon)[1]
 
 
 class TestValidTime:
     def test_first_crossing_convention(self):
-        fr = _series_result([0.1, 0.2, 0.5, 0.3])
-        assert valid_time(fr, 0.4) == pytest.approx(0.2)
+        assert series_valid_time([0.1, 0.2, 0.5, 0.3], 0.4) == pytest.approx(0.2)
 
     def test_immediate_failure_scores_zero(self):
-        fr = _series_result([0.41, 0.1])
-        assert valid_time(fr, 0.4) == 0.0
+        assert series_valid_time([0.41, 0.1], 0.4) == 0.0
 
     def test_never_fails_scores_full_horizon(self):
-        fr = _series_result([0.1] * 25)
-        assert valid_time(fr, 0.4) == pytest.approx(2.5)
+        assert series_valid_time([0.1] * 25, 0.4) == pytest.approx(2.5)
 
     def test_boundary_is_inclusive(self):
-        fr = _series_result([0.4, 0.4])
-        assert valid_time(fr, 0.4) == pytest.approx(0.2)
+        assert series_valid_time([0.4, 0.4], 0.4) == pytest.approx(0.2)
 
     def test_bad_epsilon_rejected(self):
-        fr = _series_result([0.1])
-        with pytest.raises(ValueError):
-            valid_time(fr, 0.0)
+        truth = np.vstack([np.ones(4), np.zeros(4)])
+        for epsilon in (0.0, -0.4):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                series_valid_time([0.1], epsilon)
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                span_metrics(np.empty(0), truth, 0.1, epsilon)  # an aborted forecast too
 
     @given(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=50),
            st.floats(0.05, 1.0), st.floats(0.05, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_epsilon(self, series, e1, e2):
-        fr = _series_result(series)
         lo, hi = sorted([e1, e2])
-        assert valid_time(fr, lo) <= valid_time(fr, hi)
+        assert series_valid_time(series, lo) <= series_valid_time(series, hi)
 
     @given(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_bounded_by_horizon(self, series):
-        fr = _series_result(series)
-        t = valid_time(fr, 0.4)
+        t = series_valid_time(series, 0.4)
         assert 0.0 <= t <= len(series) * 0.1 + 1e-12
 
 
@@ -202,13 +188,15 @@ class TestFailureMetrics:
 
 
 class TestSpanMetrics:
-    def test_full_series_matches_mean_nmse_and_valid_time(self):
+    def test_full_series_matches_hand_computation(self):
         rng = np.random.default_rng(5)
         truth = rng.normal(size=(6, 40))
         pred = truth + rng.normal(scale=0.3, size=truth.shape)
-        fr = ForecastResult(prediction=pred, truth=truth, dt=0.1)
+        series = nmse(pred, truth)
+        bad = np.flatnonzero(series > 0.4)
+        n_ok = series.size if bad.size == 0 else int(bad[0])
         norms = np.linalg.norm(truth - pred, axis=0)
-        assert span_metrics(norms, truth, 0.1, 0.4) == (mean_nmse(fr), valid_time(fr, 0.4))
+        assert span_metrics(norms, truth, 0.1, 0.4) == (float(np.mean(series)), n_ok * 0.1)
 
     def test_prefix_matches_failure_metrics(self):
         # the prefix's NMSE over its own truth, padded with 2.0 to the horizon

@@ -12,14 +12,7 @@ from hybrid_esn.dynamics import (
     realize_regime,
     simulate,
 )
-from hybrid_esn.evaluation import (
-    ForecastResult,
-    MetricRecord,
-    SpanLayout,
-    mean_nmse,
-    segment,
-    valid_time,
-)
+from hybrid_esn.evaluation import MetricRecord, SpanLayout, segment, span_metrics
 from hybrid_esn.experiments import (
     GRID_POINTS,
     GRID_REGIMES,
@@ -227,11 +220,12 @@ class TestSharedProcedure:
                 else:
                     preds = forecast(warmup, test.shape[1], m, readout, expert=expert)
                     truth = test
-                fr = ForecastResult(prediction=preds, truth=truth, dt=man.layout.dt)
+                nmse, vt = span_metrics(np.linalg.norm(truth - preds, axis=0), truth,
+                                        man.layout.dt, man.epsilon)
                 want.append(MetricRecord(
                     task=man.task, regime="synchrony", model=model, param_name="baseline",
-                    param_value=0.0, instantiation=inst, span=k, mean_nmse=mean_nmse(fr),
-                    valid_time=valid_time(fr, man.epsilon)))
+                    param_value=0.0, instantiation=inst, span=k, mean_nmse=nmse,
+                    valid_time=vt))
         assert got == want
 
     def test_threads_identical_above_dense_eigen_limit(self):
