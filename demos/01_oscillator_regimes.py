@@ -16,7 +16,8 @@ from hybrid_esn.dynamics import (
     IntegratorConfig,
     biharmonic_regime,
     components_to_phases,
-    generate_trajectory,
+    realize_regime,
+    simulate,
     standard_regime,
 )
 
@@ -28,7 +29,7 @@ def order_parameter(trajectory):
 
 
 def describe(regime, n_steps=2000, seed=0):
-    traj = generate_trajectory(regime, IntegratorConfig(), n_steps, seed)
+    traj = simulate(*realize_regime(regime, seed), IntegratorConfig(), n_steps)
     r = order_parameter(traj)[n_steps // 2 :]
     theta_end = components_to_phases(traj[:, -1])
     print(f"  {regime.name:20s} K={regime.coupling:3.1f}  "

@@ -7,7 +7,6 @@ from .dynamics import (
     RegimeSpec,
     biharmonic_regime,
     components_to_phases,
-    generate_trajectory,
     perturb_params,
     phases_to_components,
     sample_frequencies,

@@ -16,7 +16,7 @@ import signal
 import sys
 import tempfile
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -261,12 +261,19 @@ def report(in_dir, plot):
     """Aggregate metric CSVs into summary.csv and optional SVG figures."""
     in_path = Path(in_dir)
     files = sorted(p for p in in_path.glob("*.csv") if p.name != "summary.csv")
-    records = []
+    records, origin = [], {}
     for path in files:
         try:
-            records.extend(hio.read_metric_csv(path))
+            rows = hio.read_metric_csv(path)
         except (OSError, ValueError) as exc:
             _fail(f"cannot read metric CSV {path}: {exc}")
+        for r in rows:  # every field but the two metrics; a repeated key would be averaged
+            key = tuple(getattr(r, f.name) for f in fields(r)[:-2])
+            if key in origin:
+                named = " ".join(f"{f.name}={value}" for f, value in zip(fields(r), key))
+                _fail(f"duplicate metric record {named} in {origin[key]} and {path}")
+            origin[key] = path
+        records.extend(rows)
     if not records:
         _fail(f"no metric records found in {in_dir}")
     summary = aggregate_report(records)

@@ -1,10 +1,10 @@
 """Strict JSON experiment configuration.
 
-Unknown keys are rejected outright (a typo in a sweep name must not be
-silently ignored); missing keys fall back to the defaults of the type they
-fill.  A schema_version field is required.  Each type validates its own
-fields; this module maps JSON keys onto the types and reports their errors
-as ConfigError.
+Unknown keys, and keys given twice, are rejected outright (a typo in a
+sweep name must not be silently ignored); missing keys fall back to the
+defaults of the type they fill.  A schema_version of the integer 1 is
+required.  Each type validates its own fields; this module maps JSON keys
+onto the types and reports their errors as ConfigError.
 """
 
 from __future__ import annotations
@@ -84,10 +84,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _check_keys(doc, _TOP_KEYS, "config")
     if "schema_version" not in doc:
         raise ConfigError("config is missing the required schema_version field")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {doc['schema_version']} (expected {SCHEMA_VERSION})"
-        )
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:  # neither true nor 1.0
+        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     if "task" not in doc:
         raise ConfigError("config is missing the required task field")
 
@@ -133,12 +132,24 @@ def parse_config(doc: dict) -> ExperimentConfig:
                                 **{key: doc[key] for key in _CLI_KEYS if key in doc})
 
 
+def _unique_keys(pairs) -> dict:
+    """json's object_pairs_hook: the object as a dict, or ConfigError on a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r} in config")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read and validate a UTF-8 JSON config file."""
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read(), object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -35,7 +35,6 @@ __all__ = [
     "perturb_params",
     "simulate",
     "simulate_batch",
-    "generate_trajectory",
 ]
 
 
@@ -104,6 +103,18 @@ class KuramotoParams:
         object.__setattr__(self, "coupling", float(coupling) if coupling.ndim == 0 else coupling)
         for name, value in zip(("gamma1", "gamma2", "second_harmonic_scale"), harmonics):
             object.__setattr__(self, name, float(value))
+
+    @staticmethod
+    def stack(params, repeats: int = 1) -> KuramotoParams:
+        """One set per row: rows k*repeats .. (k+1)*repeats - 1 follow params[k].
+
+        Returns an (S, N) omega and an (S, 1) coupling, S = len(params) *
+        repeats.  The sets must share their harmonics.
+        """
+        if len({(p.gamma1, p.gamma2, p.second_harmonic_scale) for p in params}) != 1:
+            raise ValueError("stacked parameter sets must share their harmonics")
+        return replace(params[0], omega=np.repeat([p.omega for p in params], repeats, axis=0),
+                       coupling=np.repeat([[p.coupling] for p in params], repeats, axis=0))
 
     @property
     def n_oscillators(self) -> int:
@@ -233,15 +244,23 @@ def normalize_rows(c):
     Returns (out, ok): ok[s] is False where row s holds a non-finite entry
     or a pair at the origin, and such a row comes back unchanged.
     """
-    c = np.asarray(c, dtype=float)
-    x, y = _split_components(c)
-    r = np.hypot(x, y)
-    ok = np.isfinite(c).all(axis=-1) & (r > 1e-12).all(axis=-1)
-    r[~ok] = 1.0
-    out = np.empty_like(c)
-    out[..., 0::2] = x / r
-    out[..., 1::2] = y / r
-    return out, ok
+    out = np.array(c, dtype=float, order="C")
+    _split_components(out)
+    return out, _normalize_pairs(np.moveaxis(out.reshape(*out.shape[:-1], -1, 2), -1, 0))
+
+
+def _normalize_pairs(planar):
+    """Rescale each (x_i, y_i) pair of a planar (2, ..., N) array to unit length, in place.
+
+    Returns ok, of shape (...): False where a row holds a non-finite entry
+    or a pair at the origin, and such a row is left unchanged.
+    """
+    r = np.hypot(planar[0], planar[1])
+    ok = np.isfinite(planar).all(axis=(0, -1)) & (r > 1e-12).all(axis=-1)
+    if not ok.all():
+        r[~ok] = 1.0
+    np.divide(planar, r, out=planar)
+    return ok
 
 
 def _split_components(c):
@@ -345,18 +364,8 @@ class RK4Stepper:
         out[..., 1::2] = self.state[1]
 
     def normalize(self):
-        """Rescale each (x_i, y_i) pair to unit length; flag rows that cannot be.
-
-        Returns ok, of shape `lead`: False where a row holds a non-finite
-        entry or a pair at the origin, and such a row is left unchanged.
-        """
-        state = self.state
-        r = np.hypot(state[0], state[1])
-        ok = np.isfinite(state).all(axis=(0, -1)) & (r > 1e-12).all(axis=-1)
-        if not ok.all():
-            r[~ok] = 1.0
-        np.divide(state, r, out=state)
-        return ok
+        """Rescale each pair of the state to unit length; ok of shape `lead`, as `normalize_rows`."""
+        return _normalize_pairs(self.state)
 
     def _rhs(self, operands, out) -> None:
         """out = f(buffer), given the operands of a planar buffer (the state or the stage)."""
@@ -520,7 +529,7 @@ def simulate_batch(params, theta0s, cfg: IntegratorConfig, n_steps: int):
     """`simulate` for S records of one regime, integrated together as (S, 2N) rows.
 
     `params` and `theta0s` hold one KuramotoParams and one phase vector per
-    record; the records may differ only in omega.
+    record; the records may differ in omega and coupling, not in harmonics.
     Returns (records, failed): records[s] is bitwise what simulate returns
     for record s, and failed[s] is 0, or the k of the NumericalBlowup(k)
     that simulate raises for it (records[s] is then undefined).  One record
@@ -532,18 +541,4 @@ def simulate_batch(params, theta0s, cfg: IntegratorConfig, n_steps: int):
         out, failed = _integrate(params[0], phases_to_components(theta0s[0]), cfg, n_steps)
         return out[None], failed[None]
     state = np.stack([phases_to_components(t) for t in theta0s])
-    return _integrate(_row_params(params), state, cfg, n_steps)
-
-
-def _row_params(params):
-    """One KuramotoParams with an (S, N) omega for a record list that shares everything else."""
-    shared = {(p.coupling, p.gamma1, p.gamma2, p.second_harmonic_scale) for p in params}
-    if len(shared) != 1:
-        raise ValueError("batched records may differ only in their natural frequencies")
-    return replace(params[0], omega=np.stack([p.omega for p in params]))
-
-
-def generate_trajectory(regime: RegimeSpec, cfg: IntegratorConfig, n_steps: int, seed) -> np.ndarray:
-    """Sample a realization of the regime and integrate it for n_steps samples."""
-    params, theta0 = realize_regime(regime, seed)
-    return simulate(params, theta0, cfg, n_steps)
+    return _integrate(KuramotoParams.stack(params), state, cfg, n_steps)

@@ -29,7 +29,7 @@ from .dynamics import (
     simulate_batch,
 )
 from .evaluation import MetricRecord, SpanLayout, segment, span_metrics
-from .hybrid import ExpertModel, Instantiation, stack_experts
+from .hybrid import ExpertModel, Instantiation
 from .reservoir import (
     ReservoirConfig,
     ReservoirMatrices,
@@ -381,8 +381,8 @@ def _forecast_records(manifest, model_kind, regime_name, spans, realization,
     """
     n_inst, n_spans = len(members), len(spans)
     n_cols = n_inst * n_spans
-    experts = [m.expert for m in members]
-    expert = stack_experts(experts, n_spans) if experts[0] is not None else None
+    expert = (ExpertModel(KuramotoParams.stack([m.expert.params for m in members], n_spans),
+                          manifest.layout.dt) if members[0].expert is not None else None)
     if model_kind == "ode":
         # No warm-up: the ODE's state is pinned to the first test sample and
         # stepped forward, so its forecast covers test samples 1..H-1.

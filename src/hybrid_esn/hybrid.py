@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import KuramotoParams, RK4Stepper
 from .reservoir import ReservoirMatrices
 
-__all__ = ["ExpertModel", "stack_experts", "Instantiation"]
+__all__ = ["ExpertModel", "Instantiation"]
 
 
 @dataclass
@@ -66,20 +66,6 @@ class ExpertModel:
         """
         stepper, ok = self._advance(u, keep)
         return stepper.components(), ok
-
-
-def stack_experts(experts, repeats: int) -> ExpertModel:
-    """One expert whose rows k*repeats .. (k+1)*repeats - 1 follow experts[k].
-
-    The experts must share dt and hold the plain Kuramoto model.
-    """
-    if len({e.dt for e in experts}) != 1:
-        raise ValueError("stacked experts must share one step size")
-    if any(e.params.biharmonic for e in experts):
-        raise ValueError("only Kuramoto experts can be stacked")
-    omega = np.repeat(np.stack([e.params.omega for e in experts]), repeats, axis=0)
-    coupling = np.repeat([[e.params.coupling] for e in experts], repeats, axis=0)
-    return ExpertModel(params=KuramotoParams(omega=omega, coupling=coupling), dt=experts[0].dt)
 
 
 @dataclass(frozen=True)

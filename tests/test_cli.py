@@ -457,6 +457,24 @@ class TestSweepGridReport:
             "in", "in/points.csv"]
 
 
+    def test_report_duplicate_record_exits_2(self, runner, tmp_path):
+        # a record named twice, here by a copy with another mean_nmse, would be averaged in
+        (tmp_path / "a.csv").write_text(METRIC_ROWS)
+        (tmp_path / "b.csv").write_text(METRIC_ROWS.replace(",0.2,0.5", ",2,0.5"))
+        result = runner.invoke(main, ["report", "--in", str(tmp_path)])
+        assert_one_line_error(
+            result, 2, "duplicate metric record task=parameter_error regime=synchrony "
+            "model=hybrid param_name=sigma_k param_value=0.0 instantiation=0 span=0 in "
+            f"{tmp_path / 'a.csv'} and {tmp_path / 'b.csv'}")
+        assert not (tmp_path / "summary.csv").exists()
+        (tmp_path / "b.csv").unlink()  # and within one file, where -0 is the value 0
+        (tmp_path / "a.csv").write_text(
+            METRIC_ROWS + "parameter_error,synchrony,hybrid,sigma_k,-0,0,0,0.3,1\n")
+        result = runner.invoke(main, ["report", "--in", str(tmp_path)])
+        assert_one_line_error(result, 2, "param_value=-0.0 instantiation=0 span=0 in "
+                                         f"{tmp_path / 'a.csv'} and {tmp_path / 'a.csv'}")
+
+
 class TestStreamedPoints:
     """Each sweep point's metric CSV lands as the point ends; an interrupt keeps it."""
 
@@ -660,6 +678,32 @@ def test_experiment_usage_error_exits_2(runner, tmp_path, monkeypatch, command, 
     result = runner.invoke(main, argv, env=getattr(extra, "env", None))
     assert_one_line_error(result, 2, fragment)
     assert "Traceback" not in result.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (b'\xff\xfe{}', "is not UTF-8 text: byte 0xff at offset 0"),
+    (b'{"schema_version": 1, "task": "parameter_error", "task": "residual_physics"}',
+     "duplicate key 'task' in config"),
+    (b'{"schema_version": 1, "task": "parameter_error", "baselines": {"size": 40, "size": 50}}',
+     "duplicate key 'size' in config"),
+    (b'{"schema_version": true, "task": "parameter_error"}',
+     "unsupported schema_version True (expected 1)"),
+    (b'{"schema_version": 1.0, "task": "parameter_error"}',
+     "unsupported schema_version 1.0 (expected 1)"),
+    (b'{"schema_version": "1", "task": "parameter_error"}',
+     "unsupported schema_version '1' (expected 1)"),
+], ids=["not_utf8", "duplicate_top_key", "duplicate_nested_key", "schema_version_bool",
+        "schema_version_float", "schema_version_str"])
+def test_bad_config_file_exits_2(runner, tmp_path, monkeypatch, text, fragment):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("ground truth integrated")
+
+    monkeypatch.setattr(experiments, "simulate_batch", no_integration)
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(text)
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert_one_line_error(result, 2, fragment)
     assert not (tmp_path / "o").exists()
 
 

@@ -15,7 +15,6 @@ from hybrid_esn.dynamics import (
     RK4Stepper,
     biharmonic_regime,
     components_to_phases,
-    generate_trajectory,
     normalize_rows,
     perturb_params,
     phases_to_components,
@@ -315,16 +314,25 @@ class TestRK4Stepper:
             np.testing.assert_array_equal(np.stack(alone), np.stack(got)[:, 0, row])
 
     def test_normalize_flags_rows_as_normalize_rows(self):
+        # the stepper's planar state and normalize_rows' interleaved rows run one
+        # body: good rows as the per-row formula, flagged rows left unchanged
         rng = np.random.default_rng(6)
-        states = rng.normal(size=(5, 8))
+        states = rng.normal(size=(6, 8))
         states[1, 3] = np.inf
+        states[2, 0] = np.nan
         states[3, 4:6] = 0.0
-        stepper = RK4Stepper(KuramotoParams(omega=np.zeros((5, 4)), coupling=1.0), (5,), 0.1)
+        want_ok = np.array([True, False, False, False, True, True])
+        want = states.copy()
+        want[want_ok] = normalize_components(states[want_ok])
+        stepper = RK4Stepper(KuramotoParams(omega=np.zeros((6, 4)), coupling=1.0), (6,), 0.1)
         stepper.load(states)
-        ok = stepper.normalize()
-        want, want_ok = normalize_rows(states)
-        np.testing.assert_array_equal(ok, want_ok)
+        np.testing.assert_array_equal(stepper.normalize(), want_ok)
         np.testing.assert_array_equal(stepper.components(), want)
+        for batch in (states, states.T.copy().T, states.reshape(2, 3, 8)):
+            got, ok = normalize_rows(batch)
+            np.testing.assert_array_equal(ok, want_ok.reshape(batch.shape[:-1]))
+            np.testing.assert_array_equal(got, want.reshape(batch.shape))
+        np.testing.assert_array_equal(states[1, 3], np.inf)  # the input is not touched
 
     def test_shape_mismatch_rejected(self):
         params = KuramotoParams(omega=np.zeros(2), coupling=1.0)
@@ -478,13 +486,13 @@ class TestTrajectories:
     def test_same_seed_bit_identical(self):
         regime = standard_regime("synchrony")
         cfg = IntegratorConfig()
-        a = generate_trajectory(regime, cfg, 50, 3)
-        b = generate_trajectory(regime, cfg, 50, 3)
+        a = simulate(*realize_regime(regime, 3), cfg, 50)
+        b = simulate(*realize_regime(regime, 3), cfg, 50)
         np.testing.assert_array_equal(a, b)
 
     def test_unit_circle_throughout(self):
         regime = standard_regime("asynchrony")
-        traj = generate_trajectory(regime, IntegratorConfig(), 200, 9)
+        traj = simulate(*realize_regime(regime, 9), IntegratorConfig(), 200)
         radii = traj[0::2] ** 2 + traj[1::2] ** 2
         assert np.max(np.abs(radii - 1.0)) < 1e-6
 
@@ -563,10 +571,26 @@ class TestSimulateBatch:
             np.testing.assert_array_equal(record, simulate(params, theta0, cfg, 150))
 
     def test_single_record_equals_simulate(self):
+        # the one-record branch equals simulate and a row of the stacked batch
         params, theta0 = realize_regime(biharmonic_regime("synchrony"), 5)
         records, failed = simulate_batch([params], [theta0], IntegratorConfig(), 60)
         assert records.shape == (1, 20, 61) and failed.tolist() == [0]
         np.testing.assert_array_equal(records[0], simulate(params, theta0, IntegratorConfig(), 60))
+        stacked, _ = simulate_batch([params] * 2, [theta0] * 2, IntegratorConfig(), 60)
+        np.testing.assert_array_equal(stacked[1], records[0])
+
+    @pytest.mark.parametrize("task, regime", [
+        ("parameter_error", standard_regime("synchrony")),
+        ("residual_physics", biharmonic_regime("heteroclinic_cycles")),
+    ], ids=["synchrony", "heteroclinic_cycles"])
+    def test_rows_with_own_coupling_equal_per_record_simulate(self, task, regime):
+        draws = [(replace(p, coupling=p.coupling * (0.5 + 0.25 * k)), t)
+                 for k, (p, t) in enumerate(sweep_draws(task, regime, 1, 4))]
+        cfg = IntegratorConfig()
+        records, failed = simulate_batch([p for p, _ in draws], [t for _, t in draws], cfg, 80)
+        np.testing.assert_array_equal(failed, 0)
+        for record, (params, theta0) in zip(records, draws):
+            np.testing.assert_array_equal(record, simulate(params, theta0, cfg, 80))
 
     def test_blowup_fails_only_its_row(self):
         # master seed 14317 draws |omega| = 486 rad/s at sweep index 0, which
@@ -588,12 +612,11 @@ class TestSimulateBatch:
             np.testing.assert_array_equal(record, simulate(params, theta0, cfg, 40))
 
     def test_records_must_share_coupling_and_harmonics(self):
+        # the coupling may differ per row (above); the harmonics may not
         a = KuramotoParams(omega=np.zeros(2), coupling=1.0)
-        b = KuramotoParams(omega=np.ones(2), coupling=2.0)
-        with pytest.raises(ValueError):
-            simulate_batch([a, b], [np.zeros(2)] * 2, IntegratorConfig(), 5)
         bi = replace(a, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)
-        with pytest.raises(ValueError):
-            simulate_batch([bi, replace(bi, gamma1=1.5)], [np.zeros(2)] * 2, IntegratorConfig(), 5)
+        for pair in ([a, bi], [bi, replace(bi, gamma1=1.5)], [bi, replace(bi, gamma2=0.0)]):
+            with pytest.raises(ValueError, match="share their harmonics"):
+                simulate_batch(pair, [np.zeros(2)] * 2, IntegratorConfig(), 5)
         with pytest.raises(ValueError):
             simulate_batch([a], [np.zeros(2)] * 2, IntegratorConfig(), 5)

@@ -7,7 +7,6 @@ import pytest
 from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
-    generate_trajectory,
     normalize_rows,
     perturb_params,
     phases_to_components,
@@ -15,7 +14,7 @@ from hybrid_esn.dynamics import (
     simulate,
     standard_regime,
 )
-from hybrid_esn.hybrid import ExpertModel, Instantiation, stack_experts
+from hybrid_esn.hybrid import ExpertModel, Instantiation
 from hybrid_esn.reservoir import (
     CollectionError,
     ReservoirConfig,
@@ -85,7 +84,8 @@ class TestExpertModel:
         u = phases_to_components(np.linspace(0.0, 1.0, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, ok = stack_experts([expert], 2).step_rows(np.stack([u, u]))
+            _, ok = ExpertModel(KuramotoParams.stack([expert.params], 2)).step_rows(
+                np.stack([u, u]))
             np.testing.assert_array_equal(ok, [False, False])
             with pytest.raises(FloatingPointError):
                 expert.step(u)
@@ -110,7 +110,7 @@ class TestExpertModel:
             want, want_ok = normalize_rows(oracle(expert.params, states))
             np.testing.assert_array_equal(rows, want)
             np.testing.assert_array_equal(ok, want_ok)
-        stacked = stack_experts(experts, 2)
+        stacked = ExpertModel(KuramotoParams.stack([e.params for e in experts], 2))
         rows, ok = stacked.step_rows(states)
         assert ok.all()
         for i, row in enumerate(rows):
@@ -118,10 +118,11 @@ class TestExpertModel:
         np.testing.assert_array_equal(stacked.step(states), rows)
 
     def test_stack_rejects_biharmonic_expert(self):
+        # an expert stacked from sets of different harmonics is refused
         plain = KuramotoParams(omega=np.zeros(3), coupling=1.0)
         shifted = replace(plain, gamma1=1.3, gamma2=np.pi, second_harmonic_scale=0.2)
-        with pytest.raises(ValueError, match="only Kuramoto experts"):
-            stack_experts([ExpertModel(plain), ExpertModel(shifted)], 2)
+        with pytest.raises(ValueError, match="share their harmonics"):
+            KuramotoParams.stack([plain, shifted], 2)
 
     def test_stepper_follows_shape_and_params(self):
         # the kept stepper is rebuilt when the input shape or the parameters change

@@ -158,10 +158,11 @@ class TestModelDump:
             load_model(path)
 
     def test_loaded_model_forecasts_identically(self, tmp_path):
-        from hybrid_esn.dynamics import IntegratorConfig, generate_trajectory, standard_regime
+        from hybrid_esn.dynamics import (IntegratorConfig, realize_regime, simulate,
+                                         standard_regime)
         from hybrid_esn.reservoir import (ReservoirConfig, build_matrices,
                                           collect_states, forecast, train_readout)
-        traj = generate_trajectory(standard_regime("synchrony"), IntegratorConfig(), 300, 2)
+        traj = simulate(*realize_regime(standard_regime("synchrony"), 2), IntegratorConfig(), 300)
         cfg = ReservoirConfig(size=60)
         m = build_matrices(cfg, 10, False, 0, 1)
         features, targets = collect_states(traj[:, :201], m)

@@ -10,13 +10,12 @@ from hybrid_esn import reservoir
 from hybrid_esn.dynamics import (
     IntegratorConfig,
     KuramotoParams,
-    generate_trajectory,
     perturb_params,
     realize_regime,
     simulate,
     standard_regime,
 )
-from hybrid_esn.hybrid import ExpertModel, stack_experts
+from hybrid_esn.hybrid import ExpertModel
 from hybrid_esn.reservoir import (
     ForecastAbort,
     ReadoutTrainingError,
@@ -466,7 +465,7 @@ class TestRidgeDual:
 @pytest.fixture(scope="module")
 def sync_training():
     regime = standard_regime("synchrony")
-    return generate_trajectory(regime, IntegratorConfig(), 1000, 13)
+    return simulate(*realize_regime(regime, 13), IntegratorConfig(), 1000)
 
 
 class TestCollection:
@@ -694,6 +693,11 @@ def train_instantiations(setup, hybrid, size=60):
     return members
 
 
+def stacked_expert(experts):
+    """One expert whose rows follow each of `experts` for N_SPANS columns, as an arm stacks them."""
+    return ExpertModel(KuramotoParams.stack([e.params for e in experts], N_SPANS))
+
+
 def run_lockstep(warmups, horizon, stack, readouts, expert):
     """Columns are instantiation-major: column k*N_SPANS + j is (k, j)."""
     warm = np.tile(np.stack([w.T for w in warmups], axis=1), (1, N_INST, 1))
@@ -712,7 +716,7 @@ class TestLockstepForecast:
         _, _, spans, _ = lockstep_setup
         members = train_instantiations(lockstep_setup, hybrid)
         stack = stack_reservoirs([m for m, _, _ in members], N_SPANS)
-        expert = stack_experts([e for _, _, e in members], N_SPANS) if hybrid else None
+        expert = stacked_expert([e for _, _, e in members]) if hybrid else None
         columns, aborts = run_lockstep(spans, HORIZON, stack, [r for _, r, _ in members], expert)
         assert np.all(aborts == HORIZON)
         for c, got in enumerate(columns):
@@ -730,7 +734,7 @@ class TestLockstepForecast:
         bad = np.full_like(members[0][1], np.nan)
         members[0] = (members[0][0], bad, members[0][2])
         stack = stack_reservoirs([m for m, _, _ in members], N_SPANS)
-        expert = stack_experts([e for _, _, e in members], N_SPANS) if hybrid else None
+        expert = stacked_expert([e for _, _, e in members]) if hybrid else None
         columns, aborts = run_lockstep(spans, HORIZON, stack, [r for _, r, _ in members], expert)
         np.testing.assert_array_equal(aborts, [0] * N_SPANS + [HORIZON] * N_SPANS)
         for c, got in enumerate(columns):
@@ -752,7 +756,7 @@ class TestLockstepForecast:
         def keep(k, u_hat):
             preds[k] = u_hat
 
-        aborts = forecast_columns(warm, HORIZON, keep, expert=stack_experts(experts, N_SPANS))
+        aborts = forecast_columns(warm, HORIZON, keep, expert=stacked_expert(experts))
         for c in range(warm.shape[1]):
             want = reference_expert_forecast(starts[c % N_SPANS][:, 0], HORIZON,
                                              experts[c // N_SPANS])
