@@ -26,46 +26,40 @@ class ExpertModel:
     States are (2N,) or a (..., 2N) batch of rows.  The RK4 stepper built for
     the last input shape is kept for the next call, so one expert must not be
     stepped from two threads at once.  The program runs on one thread, so
-    it never is.
+    it never is.  Its buffers grow with the rows, so a caller that steps a
+    large batch once, as `collect_states` does, steps a copy of the expert.
     """
 
     params: KuramotoParams  # omega (N,), or (S, N) for one set per row
     dt: float = 0.1
     _stepper: RK4Stepper | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _advance(self, u, keep=True):
-        """One normalized RK4 step of the rows of u: (stepper, ok) as `RK4Stepper.normalize`."""
+    def step_rows(self, u: np.ndarray):
+        """One RK4 step of size dt of u's rows, renormalized, flagging failed rows.
+
+        Returns (rows, ok) as `normalize_rows` does, for a (2N,) state or a
+        (..., 2N) batch.
+        """
         u = np.asarray(u, float)
         stepper = self._stepper
         if (stepper is None or stepper.lead != u.shape[:-1] or stepper.params is not self.params
                 or stepper.h != self.dt):
-            stepper = RK4Stepper(self.params, u.shape[:-1], self.dt)
-            if keep:
-                self._stepper = stepper
+            stepper = self._stepper = RK4Stepper(self.params, u.shape[:-1], self.dt)
         stepper.load(u)
         # an overflowing expert is flagged by the callers, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             stepper.step()
-            return stepper, stepper.normalize()
+            ok = stepper.normalize()
+        return stepper.components(), ok
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        """Single RK4 step of size dt, renormalized to the unit circle."""
-        stepper, ok = self._advance(u)
+        """`step_rows`, raising where it flags a row instead of returning the flags."""
+        rows, ok = self.step_rows(u)
         if not ok.all():
-            if not np.isfinite(stepper.state).all():
+            if not np.isfinite(rows).all():
                 raise FloatingPointError("expert integration produced a non-finite state")
             raise ValueError("cannot normalize: component pair at the origin")
-        return stepper.components()
-
-    def step_rows(self, u: np.ndarray, keep: bool = True):
-        """`step` for a (..., 2N) batch that flags failed rows instead of raising.
-
-        Returns (rows, ok) as `normalize_rows` does.  keep=False is for a
-        batch stepped once, such as teacher-forced inputs: its stepper, whose
-        buffers grow with the rows, is then not kept.
-        """
-        stepper, ok = self._advance(u, keep)
-        return stepper.components(), ok
+        return rows
 
 
 @dataclass(frozen=True)

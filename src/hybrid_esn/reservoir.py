@@ -9,7 +9,7 @@ back in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -240,7 +240,9 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     `training` is D_u x (n_T + 1).  Returns the arrays (features, targets):
     column t holds g(r_{t+1}) (standard) or [u_tilde_{t+1}; g(r_{t+1})]
     (hybrid) in features, and the ground-truth next state in targets.  The
-    reservoir is the one-column `ReservoirStack` of `m`.
+    reservoir is the one-column `ReservoirStack` of `m`.  The expert's
+    inputs are the known training samples, so a copy of the expert steps
+    them in batches of rows, and the caller's expert is never stepped.
     """
     if training.ndim != 2 or training.shape[1] < 2:
         raise ValueError("need at least 2 training samples")
@@ -251,6 +253,8 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     stack = stack_reservoirs([m], 1)
     r = np.zeros((m.d_r, 1))
     u_tilde = None
+    if expert is not None:
+        expert = replace(expert)  # so the caller's expert keeps no block-sized stepper
     for t in range(n_t):
         u = training[:, t]
         if expert is not None:
@@ -258,8 +262,7 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
             if j == 0:
                 # teacher forcing: the expert's inputs are known, so a block
                 # of steps is one batched call
-                tildes, ok = expert.step_rows(training[:, t:min(t + _TEACHER_ROWS, n_t)].T,
-                                              keep=False)
+                tildes, ok = expert.step_rows(training[:, t:min(t + _TEACHER_ROWS, n_t)].T)
             # a failed row raises at its own step, as `step` does, after any
             # earlier CollectionError
             u_tilde = (tildes[j] if ok[j] else expert.step(u))[None]
@@ -272,19 +275,6 @@ def collect_states(training: np.ndarray, m: ReservoirMatrices, expert=None):
     return features, training[:, 1:]
 
 
-def _ridge_solve(phi: np.ndarray, rhs: np.ndarray, beta: float) -> np.ndarray:
-    """(Phi Phi^T + beta I)^-1 rhs, factoring the Gram matrix in place."""
-    gram = phi @ phi.T
-    # Factor in place: cho_factor reads the upper triangle of the Fortran
-    # array gram.T, i.e. gram's lower triangle, so mirror the upper one onto
-    # it first; the factored matrix is then exactly the upper triangle of
-    # phi @ phi.T, as a copying cho_factor(gram) would factor.
-    for i in range(1, gram.shape[0]):
-        gram[i, :i] = gram[:i, i]
-    gram[np.diag_indices_from(gram)] += beta
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram.T, overwrite_a=True), rhs)
-
-
 def train_readout(features: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarray:
     """The readout array C = Y Phi^T (Phi Phi^T + beta I)^-1 of features Phi, targets Y.
 
@@ -294,27 +284,33 @@ def train_readout(features: np.ndarray, targets: np.ndarray, beta: float) -> np.
     identity Phi^T (Phi Phi^T + beta I)^-1 = (Phi^T Phi + beta I)^-1 Phi^T
     gives the same readout from the n_T x n_T Gram matrix Phi^T Phi (ridge
     regression in dual variables, Saunders, Gammerman & Vovk 1998), where
-    Phi Phi^T has rank at most n_T and needs beta > 0.
+    Phi Phi^T has rank at most n_T and needs beta > 0.  The factorization
+    reads the Gram matrix's lower triangle.  numpy forms the product of C-
+    or Fortran-ordered features with syrk, exactly symmetric, so that is
+    its upper triangle too.
     """
     if beta < 0:
         raise ValueError("regularization must be >= 0")
     if features.shape[1] != targets.shape[1]:
         raise ValueError("features and targets disagree on sample count")
     d_feat, n_t = features.shape
-    if d_feat > n_t and beta == 0:
+    dual = d_feat > n_t
+    if dual and beta == 0:
         raise ReadoutTrainingError(
             f"ridge solve failed: {d_feat} features but {n_t} training samples make "
             "the Gram matrix rank deficient; use beta > 0"
         )
+    phi = features.T if dual else features
+    gram = phi @ phi.T
+    gram[np.diag_indices_from(gram)] += beta
     try:
-        if d_feat <= n_t:
-            c = _ridge_solve(features, features @ targets.T, beta).T
-        else:
-            c = (features @ _ridge_solve(features.T, targets.T, beta)).T
+        solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram.T, overwrite_a=True),
+                                        targets.T if dual else features @ targets.T)
     except scipy.linalg.LinAlgError as exc:
         raise ReadoutTrainingError(
             "ridge solve failed: Gram matrix is rank deficient; use beta > 0"
         ) from exc
+    c = (features @ solved).T if dual else solved.T
     if not np.all(np.isfinite(c)):
         raise ReadoutTrainingError(
             "ridge solve produced non-finite weights; use beta > 0"

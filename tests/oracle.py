@@ -15,13 +15,18 @@ equal them bit for bit.  `normalize_components` is the raising one-state
 renormalization that the reference forecast loops apply, and `wrap_phases`
 maps phase-form results onto the circle.  `svd_ridge` is the ridge readout
 through a singular value decomposition of the features, which is backward
-stable whichever Gram matrix the program factors.  `count_expert_rows` is a
-spy that counts the rows an expert integrates, to pin the
-one-step-per-sample cost model.  `read_trajectory_csv` reads back what
-`io.write_trajectory_csv` writes.
+stable whichever Gram matrix the program factors; `cholesky_ridge` is the
+ridge readout through a copying Cholesky factorization of the same Gram
+matrix as the program's, which `reservoir.train_readout` must equal bit
+for bit.  `count_expert_rows` is a spy that counts the rows every expert
+integrates, to pin the one-step-per-sample cost model.
+`read_trajectory_csv` reads back what `io.write_trajectory_csv` writes.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
+import scipy.linalg
 
 from hybrid_esn.dynamics import (
     IntegratorConfig,
@@ -30,6 +35,7 @@ from hybrid_esn.dynamics import (
     RK4Stepper,
     _split_components,
 )
+from hybrid_esn.hybrid import ExpertModel
 from hybrid_esn.reservoir import ReservoirMatrices
 
 
@@ -59,6 +65,24 @@ def svd_ridge(phi, y, beta) -> np.ndarray:
     """C = Y Phi^T (Phi Phi^T + beta I)^-1 as Y V diag(s / (s^2 + beta)) U^T, Phi = U S V^T."""
     u, s, vt = np.linalg.svd(phi, full_matrices=False)
     return ((y @ vt.T) * (s / (s * s + beta))) @ u.T
+
+
+def cholesky_ridge(phi, y, beta) -> np.ndarray:
+    """C = Y Phi^T (Phi Phi^T + beta I)^-1 through a copying `cho_factor` of the smaller Gram matrix.
+
+    With more features than samples the n_T x n_T Gram matrix Phi^T Phi is
+    solved for, as the program does.  The Gram matrix's lower triangle, the
+    one that the program's in-place factorization reads, is mirrored onto
+    its upper one before the copy is factored.
+    """
+    dual = phi.shape[0] > phi.shape[1]
+    a = phi.T if dual else phi
+    gram = np.tril(a @ a.T)
+    gram += np.tril(gram, -1).T
+    gram[np.diag_indices_from(gram)] += beta
+    solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram),
+                                    y.T if dual else phi @ y.T)
+    return (phi @ solved).T if dual else solved.T
 
 
 def _check_phase_state(theta, n):
@@ -169,19 +193,26 @@ def nonlinear_transform(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def count_expert_rows(expert) -> list:
-    """Wrap `expert.step` and `expert.step_rows` on the instance; the returned
-    one-item list counts the rows they integrate."""
+@contextmanager
+def count_expert_rows():
+    """Count the rows that every `ExpertModel` integrates inside the block.
+
+    `ExpertModel.step` goes through `step_rows`, so wrapping that one method
+    on the class counts both, whichever copy of an expert steps.  Yields a
+    one-item list.
+    """
     rows = [0]
-    for name in ("step", "step_rows"):
-        method = getattr(expert, name)
+    step_rows = ExpertModel.step_rows
 
-        def counted(u, *args, _method=method, **kwargs):
-            rows[0] += np.size(u) // np.shape(u)[-1]
-            return _method(u, *args, **kwargs)
+    def counted(self, u):
+        rows[0] += np.size(u) // np.shape(u)[-1]
+        return step_rows(self, u)
 
-        setattr(expert, name, counted)
-    return rows
+    ExpertModel.step_rows = counted
+    try:
+        yield rows
+    finally:
+        ExpertModel.step_rows = step_rows
 
 
 def read_trajectory_csv(path):

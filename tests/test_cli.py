@@ -238,6 +238,7 @@ class TestTrainForecast:
         if model == "hybrid":
             np.testing.assert_array_equal(got.expert.params.omega, want.expert.params.omega)
             assert got.expert.params.coupling == want.expert.params.coupling
+            assert want.expert._stepper is None  # training stepped a copy of it
         else:
             assert got.expert is None and want.expert is None
         firsts = [r for r in records if r.instantiation == 0]

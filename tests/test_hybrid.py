@@ -73,11 +73,12 @@ class TestExpertModel:
 
     def test_call_counter(self):
         expert = ExpertModel(KuramotoParams(omega=np.zeros(1), coupling=0.0))
-        rows = count_expert_rows(expert)
         u = np.array([1.0, 0.0])
-        for _ in range(7):
-            expert.step(u)
-        assert rows == [7]
+        with count_expert_rows() as rows:
+            for _ in range(7):
+                expert.step(u)
+            expert.step_rows(np.stack([u, u, u]))
+        assert rows == [10]
 
     def test_overflow_flagged_without_warnings(self):
         expert = ExpertModel(KuramotoParams(omega=np.full(5, 1e300), coupling=1.0))
@@ -216,9 +217,20 @@ class TestHybridTraining:
         cfg = ReservoirConfig()
         m = build_matrices(cfg, 10, True, 1, 2)
         expert = ExpertModel(params)
-        rows = count_expert_rows(expert)
-        collect_states(traj[:, :201], m, expert=expert)
+        with count_expert_rows() as rows:
+            collect_states(traj[:, :201], m, expert=expert)
         assert rows == [200]
+
+    def test_caller_expert_never_stepped(self, sync_setup):
+        # a copy of the expert steps the training span, so the caller's expert
+        # holds no stepper whose buffers grow with the rows of a block
+        params, traj = sync_setup
+        m = build_matrices(ReservoirConfig(size=30), 10, True, 1, 2)
+        expert = ExpertModel(params)
+        collect_states(traj[:, :301], m, expert=expert)
+        assert expert._stepper is None
+        with pytest.raises(TypeError):
+            expert.step_rows(traj[:, :3].T, keep=False)
 
     def test_teacher_forced_blocks_equal_per_step_expert(self, sync_setup):
         # across the blocks of batched expert calls, the expert features are
@@ -226,8 +238,8 @@ class TestHybridTraining:
         params, traj = sync_setup
         m = build_matrices(ReservoirConfig(size=40), 10, True, 1, 2)
         expert = ExpertModel(params)
-        rows = count_expert_rows(expert)
-        features, _ = collect_states(traj[:, :601], m, expert=expert)
+        with count_expert_rows() as rows:
+            features, _ = collect_states(traj[:, :601], m, expert=expert)
         assert rows == [600]
         per_step = ExpertModel(params)
         want = np.stack([per_step.step(traj[:, t]) for t in range(600)], axis=1)

@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from hybrid_esn.reservoir import (
     train_readout,
 )
 from oracle import (
+    cholesky_ridge,
     count_expert_rows,
     nonlinear_transform,
     normalize_components,
@@ -332,13 +334,6 @@ class TestRidgeReadout:
         assert all(n2 <= n1 + 1e-12 for n1, n2 in zip(norms, norms[1:]))
 
 
-def copying_ridge(phi, y, beta):
-    """Ridge readout through a copying cho_factor, as the fit did before it factored in place."""
-    gram = phi @ phi.T
-    gram[np.diag_indices_from(gram)] += beta
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), phi @ y.T).T
-
-
 class TestRidgeInPlace:
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_equals_copying_factorization(self, layout):
@@ -349,7 +344,30 @@ class TestRidgeInPlace:
         y = rng.normal(size=(10, 300))
         for beta in (0.0, 1e-6, 1e-1):
             got = train_readout(phi, y, beta)
-            assert np.array_equal(got, copying_ridge(phi, y, beta)), beta
+            assert np.array_equal(got, cholesky_ridge(phi, y, beta)), beta
+
+    # the fits of the size sweep, n = 300, 1000 and 3000, standard and hybrid:
+    # the first two factor Phi Phi^T, the others the dual Phi^T Phi
+    PROGRAM_SHAPES = [(300, 1000), (310, 1000), (1000, 1000), (1010, 1000), (3000, 1000),
+                      (3010, 1000)]
+
+    @pytest.mark.parametrize("shape", PROGRAM_SHAPES + [(2, 3), (3, 2)], ids=str)
+    def test_gram_matrix_exactly_symmetric(self, shape):
+        # the in-place factorization reads the Gram matrix's lower triangle
+        # and a copying one its upper: for the feature arrays that
+        # collect_states writes, and their transposes, the two are the same
+        phi = np.tanh(np.random.default_rng(shape[0]).normal(size=shape))
+        for a in (phi, phi.T):
+            gram = a @ a.T
+            assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("shape", PROGRAM_SHAPES, ids=str)
+    def test_program_shapes_equal_cholesky_oracle(self, shape):
+        rng = np.random.default_rng(shape[0] + 1)
+        phi = np.tanh(rng.normal(size=shape))
+        phi[11::2] **= 2
+        y = rng.normal(size=(10, shape[1]))
+        assert train_readout(phi, y, 1e-6).tobytes() == cholesky_ridge(phi, y, 1e-6).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, bad):
@@ -396,13 +414,13 @@ class TestRidgeDual:
     @pytest.fixture
     def gram_sizes(self, monkeypatch):
         sizes = []
-        real = reservoir._ridge_solve
+        real = scipy.linalg.cho_factor
 
-        def recorded(phi, rhs, beta):
-            sizes.append(phi.shape[0])
-            return real(phi, rhs, beta)
+        def recorded(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(reservoir, "_ridge_solve", recorded)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recorded)
         return sizes
 
     @pytest.mark.parametrize("d_feat, n_t", [(60, 40), (310, 200), (200, 13)])
@@ -515,18 +533,25 @@ def oracle_collect(training, m, expert=None):
     return np.stack(columns, axis=1)
 
 
-def flag_last_row(expert):
-    """Make the teacher-forced batches of `expert` flag their last row as
-    failed, so that `collect_states` steps that sample on its own."""
-    step_rows = expert.step_rows
+@contextmanager
+def flag_last_row():
+    """Make every batched `ExpertModel.step_rows` call inside the block flag
+    its last row as failed, so that `collect_states` steps that sample on
+    its own."""
+    step_rows = ExpertModel.step_rows
 
-    def flagged(u, keep=True):
-        rows, ok = step_rows(u, keep)
-        ok = ok.copy()
-        ok[-1] = False
+    def flagged(self, u):
+        rows, ok = step_rows(self, u)
+        if np.ndim(u) > 1:
+            ok = ok.copy()
+            ok[-1] = False
         return rows, ok
 
-    expert.step_rows = flagged
+    ExpertModel.step_rows = flagged
+    try:
+        yield
+    finally:
+        ExpertModel.step_rows = step_rows
 
 
 class TestCollectionOracle:
@@ -539,16 +564,15 @@ class TestCollectionOracle:
         m = build_matrices(ReservoirConfig(), 10, hybrid, 3, 4)
         expert_params = perturb_params(params, 0.1, 0.1, 6)
         expert = ExpertModel(expert_params) if hybrid else None
-        if arm == "hybrid_fallback":
-            flag_last_row(expert)  # t = 255 and t = 299 take the per-row fallback
-        rows = count_expert_rows(expert) if hybrid else [0]
-        features, targets = collect_states(training, m, expert=expert)
+        # with the fallback, t = 255 and t = 299 take the per-row step
+        with (flag_last_row() if arm == "hybrid_fallback" else nullcontext()), \
+                count_expert_rows() as rows:
+            features, targets = collect_states(training, m, expert=expert)
         want = oracle_collect(training, m, ExpertModel(expert_params) if hybrid else None)
         assert features.shape == want.shape == (m.d_r + (10 if hybrid else 0), 300)
         assert features.tobytes() == want.tobytes()
         np.testing.assert_array_equal(targets, training[:, 1:])
-        if hybrid:
-            assert rows == [302 if arm == "hybrid_fallback" else 300]
+        assert rows == [{"standard": 0, "hybrid": 300, "hybrid_fallback": 302}[arm]]
 
 
 @pytest.fixture(scope="module")
